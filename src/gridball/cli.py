@@ -41,7 +41,6 @@ class RunConfig:
     anchor: str | None = None
     bound: int | None = None
     seed: int = DEFAULT_SEED
-    jobs: int = 1
     out: str | None = None
     per_theorem: int = DEFAULT_PER_THEOREM
 
@@ -96,7 +95,7 @@ def _parse_anchor(config: RunConfig, domain: RectangularDomain):
 
 
 def _base_report(config: RunConfig) -> dict:
-    return {"command": config.command, "seed": config.seed, "jobs": config.jobs}
+    return {"command": config.command, "seed": config.seed}
 
 
 def cmd_test_zero(config: RunConfig) -> tuple[int, dict]:
@@ -110,7 +109,7 @@ def cmd_test_zero(config: RunConfig) -> tuple[int, dict]:
     s = list(domain.sets[0])
     oracle = EvaluationOracle.from_poly(p, config.bound)
     report = _base_report(config)
-    rep = test_zero_on_power_domain(oracle, s, p.nvars, jobs=config.jobs)
+    rep = test_zero_on_power_domain(oracle, s, p.nvars)
     # evaluation budget of the black-box test, with t = (q-1)/(q-2)
     q = p.field.q
     if q > 2:
@@ -135,7 +134,7 @@ def cmd_find_nonzero(config: RunConfig) -> tuple[int, dict]:
     p = _load_poly(config)
     domain = _load_domain(config)
     anchor = _parse_anchor(config, domain)
-    rep = find_nonzero_near(p, anchor, domain, bound=config.bound, jobs=config.jobs)
+    rep = find_nonzero_near(p, anchor, domain, bound=config.bound)
     report = _base_report(config)
     report.update(
         field=p.field.name,
@@ -180,15 +179,9 @@ def cmd_solve_system(config: RunConfig) -> tuple[int, dict]:
             )
         if anchor != vertex:
             raise ValueError("on a {0, a_i} domain the anchor must be the nonzero corner")
-        if not system.is_solution((field.zero,) * system.nvars):
-            raise ValueError(
-                "the origin does not solve the system; no search rule covers this domain"
-            )
-        rep = solve_near_zero_domain(system, anchor, jobs=config.jobs)
+        rep = solve_near_zero_domain(system, anchor)
     else:
-        if not domain.contains(anchor):
-            raise ValueError("anchor is not a point of the domain")
-        rep = solve_near(system, anchor, domain, jobs=config.jobs)
+        rep = solve_near(system, anchor, domain)
     report = _base_report(config)
     report.update(
         field=field.name,
@@ -250,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--field", help='field name, e.g. "GF(9)" or "GF(3^2)"')
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed, recorded in the report")
-        sp.add_argument("--jobs", type=int, default=1, help="parallel evaluation workers")
         sp.add_argument("--out", help="write the JSON report here instead of stdout")
 
     sp = sub.add_parser("test-zero", help="decide whether a polynomial vanishes on S^N")
@@ -293,7 +285,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         anchor=getattr(args, "anchor", None),
         bound=getattr(args, "bound", None),
         seed=args.seed,
-        jobs=args.jobs,
         out=args.out,
         per_theorem=getattr(args, "per_theorem", DEFAULT_PER_THEOREM),
     )
@@ -301,8 +292,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def run(config: RunConfig) -> tuple[int, dict]:
     """Run one command; returns (exit_code, report)."""
-    if config.jobs < 1:
-        raise ValueError("--jobs must be >= 1")
     if config.command not in _COMMANDS:
         raise ValueError(f"unknown command {config.command!r}")
     return _COMMANDS[config.command](config)

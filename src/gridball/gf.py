@@ -301,6 +301,9 @@ class FieldSpec:
             self._add_table = None
 
     def _add_slow(self, a: int, b: int) -> int:
+        # in characteristic 2 an index is a GF(2) coefficient bit-vector
+        if self.p == 2:
+            return a ^ b
         if self.k == 1:
             return (a + b) % self.p
         out, pw = 0, 1
@@ -361,6 +364,8 @@ class FieldSpec:
     # -- vectorized index arithmetic (numpy arrays of indices) ----------------
 
     def vec_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.p == 2:
+            return a ^ b
         if self.k == 1:
             return (a + b) % self.p
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)

@@ -17,13 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from gridball.domain import RectangularDomain, hamming_distance
+from gridball.domain import RectangularDomain
 from gridball.gf import FieldElement, max_ratio_order
 from gridball.poly import SparsePoly
 from gridball.tester import (
     EvaluationOracle,
     SearchReport,
-    _scan_ball,
+    _search,
     radius_degree_bounded,
     radius_general,
 )
@@ -33,11 +33,18 @@ Point = tuple[FieldElement, ...]
 RULE_INDICATOR_RATIO = "indicator-ratio-order"
 RULE_INDICATOR_ZERO_DOMAIN = "indicator-zero-domain"
 
+_SOLVE_VERDICTS = ("no-solution", "solution")
+
 
 class PolySystem:
-    """A system f_1 = .. = f_r = 0 of nonzero sparse polynomials."""
+    """A system f_1 = .. = f_r = 0 of nonzero sparse polynomials.
 
-    __slots__ = ("field", "polys", "bounds")
+    `m_hat` = prod (1 + M(f_i)^(q-1)) bounds the indicator's monomial count;
+    `closed_numerator` = r + (q-1) * sum log2 M(f_i) is the numerator of
+    every closed-form radius and threshold.
+    """
+
+    __slots__ = ("field", "polys", "bounds", "m_hat", "closed_numerator")
 
     def __init__(self, polys: Sequence[SparsePoly]):
         polys = tuple(polys)
@@ -55,6 +62,10 @@ class PolySystem:
         self.field = field
         self.polys = polys
         self.bounds = tuple(p.monomial_count() for p in polys)
+        self.m_hat = 1
+        for m in self.bounds:
+            self.m_hat *= 1 + m ** (field.q - 1)
+        self.closed_numerator = len(polys) + (field.q - 1) * sum(math.log2(m) for m in self.bounds)
 
     @property
     def nvars(self) -> int:
@@ -68,14 +79,7 @@ def indicator_value(system: PolySystem, x: Sequence[FieldElement]) -> FieldEleme
     """g(x) = prod_i (1 - f_i(x)^(q-1)): one at solutions, zero elsewhere."""
     if len(x) != system.nvars:
         raise ValueError(f"point has {len(x)} coordinates, expected {system.nvars}")
-    f = system.field
-    one = f.one
-    acc = one
-    for p in system.polys:
-        acc = acc * (one - p.evaluate(x) ** (f.q - 1))
-        if not acc:
-            break
-    return acc
+    return FieldElement(system.field, int(_indicator_many(system, [tuple(x)])[0]))
 
 
 def _indicator_many(system: PolySystem, points) -> np.ndarray:
@@ -91,13 +95,9 @@ def _indicator_many(system: PolySystem, points) -> np.ndarray:
     return mask.astype(np.int64)
 
 
-def _indicator_oracle(system: PolySystem, m_hat: int) -> EvaluationOracle:
+def _indicator_oracle(system: PolySystem) -> EvaluationOracle:
     return EvaluationOracle(
-        system.field,
-        system.nvars,
-        m_hat,
-        func=lambda pt: indicator_value(system, pt),
-        batch_func=lambda pts: _indicator_many(system, pts),
+        system.field, system.nvars, system.m_hat, lambda pts: _indicator_many(system, pts)
     )
 
 
@@ -124,21 +124,13 @@ def system_radius(system: PolySystem, ratio_order: int) -> SystemRadius:
     if ratio_order < 2:
         raise ValueError("ratio order must be >= 2")
     n = system.nvars
-    m_hat = 1
-    for m in system.bounds:
-        m_hat *= 1 + m ** (f.q - 1)
-    sharp = min(radius_general(m_hat, ratio_order), n)
+    sharp = radius_general(system.m_hat, ratio_order, n)
     log2_t = math.log2(ratio_order) - math.log2(ratio_order - 1)
-    closed = (len(system.polys) + (f.q - 1) * sum(math.log2(m) for m in system.bounds)) / log2_t
-    return SystemRadius(m_hat=m_hat, sharp=sharp, closed_form=min(closed, float(n)))
+    closed = system.closed_numerator / log2_t
+    return SystemRadius(m_hat=system.m_hat, sharp=sharp, closed_form=min(closed, float(n)))
 
 
-def solve_near(
-    system: PolySystem,
-    anchor: Point,
-    domain: RectangularDomain,
-    jobs: int = 1,
-) -> SearchReport:
+def solve_near(system: PolySystem, anchor: Point, domain: RectangularDomain) -> SearchReport:
     """Nearest solution of the system within the guaranteed radius.
 
     Requires a zero-free domain and q > 2.  A "no-solution" verdict after
@@ -154,32 +146,20 @@ def solve_near(
         raise ValueError("solve_near requires a zero-free domain")
     if not domain.contains(anchor):
         raise ValueError("anchor is not a point of the domain")
-    r = max_ratio_order(domain.sets)
-    rad = system_radius(system, r)
-    oracle = _indicator_oracle(system, rad.m_hat)
-    witness = _scan_ball(oracle, domain, anchor, rad.sharp, jobs)
-    if witness is None:
-        return SearchReport(
-            "no-solution",
-            rad.sharp,
-            RULE_INDICATOR_RATIO,
-            oracle.count,
-            radius_closed_form=rad.closed_form,
-        )
-    return SearchReport(
-        "solution",
+    rad = system_radius(system, max_ratio_order(domain.sets))
+    return _search(
+        _indicator_oracle(system),
+        domain,
+        anchor,
         rad.sharp,
         RULE_INDICATOR_RATIO,
-        oracle.count,
-        witness,
-        hamming_distance(anchor, witness),
-        radius_closed_form=rad.closed_form,
+        _SOLVE_VERDICTS,
+        0,
+        rad.closed_form,
     )
 
 
-def solve_near_zero_domain(
-    system: PolySystem, a: Point, jobs: int = 1
-) -> SearchReport:
+def solve_near_zero_domain(system: PolySystem, a: Point) -> SearchReport:
     """Solution near a on {0,a_1}x..x{0,a_N}, given the origin is a solution.
 
     The witness has at most floor(log2 m_hat) zero entries.  Costs one
@@ -191,32 +171,26 @@ def solve_near_zero_domain(
     if any(x.index == 0 for x in a):
         raise ValueError("anchor coordinates must all be nonzero")
     f = system.field
-    origin = (f.zero,) * system.nvars
-    m_hat = 1
-    for m in system.bounds:
-        m_hat *= 1 + m ** (f.q - 1)
-    oracle = _indicator_oracle(system, m_hat)
-    if oracle.evaluate(origin).index == 0:
-        raise ValueError("the origin is not a solution of the system")
-    domain = RectangularDomain(f, [[f.zero, x] for x in a])
     n = system.nvars
-    radius = min(radius_degree_bounded(m_hat), n)
-    closed = len(system.polys) + (f.q - 1) * sum(math.log2(m) for m in system.bounds)
-    witness = _scan_ball(oracle, domain, a, radius, jobs)
-    if witness is None:
+    oracle = _indicator_oracle(system)
+    if oracle.evaluate((f.zero,) * n).index == 0:
+        raise ValueError("the origin is not a solution of the system")
+    rep = _search(
+        oracle,
+        RectangularDomain(f, [[f.zero, x] for x in a]),
+        a,
+        min(radius_degree_bounded(system.m_hat), n),
+        RULE_INDICATOR_ZERO_DOMAIN,
+        _SOLVE_VERDICTS,
+        0,
+        min(system.closed_numerator, float(n)),
+    )
+    if rep.witness is None:
         raise RuntimeError(
             "no solution inside the guaranteed radius; this contradicts the "
             "zero-domain bound and indicates a bug"
         )
-    return SearchReport(
-        "solution",
-        radius,
-        RULE_INDICATOR_ZERO_DOMAIN,
-        oracle.count,
-        witness,
-        hamming_distance(a, witness),
-        radius_closed_form=min(closed, float(n)),
-    )
+    return rep
 
 
 @dataclass
@@ -259,9 +233,7 @@ def check_not_singleton(system: PolySystem, domain: RectangularDomain) -> NotSin
         rhs *= m ** (q - 1)
     applicable = (q - 1) ** n > rhs
     log2_t = math.log2(q - 1) - math.log2(q - 2)
-    threshold = (
-        len(system.polys) + (q - 1) * sum(math.log2(m) for m in system.bounds)
-    ) / log2_t
+    threshold = system.closed_numerator / log2_t
     conclusion = (
         "the solution set on the domain is not a singleton"
         if applicable

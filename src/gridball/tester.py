@@ -14,11 +14,9 @@ trusted near a boundary.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,6 +32,8 @@ RULE_RATIO_ORDER = "ratio-order"
 RULE_DEGREE_BOUNDED = "degree-bounded"
 RULE_ZERO_DOMAIN = "zero-domain"
 RULE_SINGLE_POINT = "single-point"
+
+_NONZERO_VERDICTS = ("vanishes", "witness")
 
 
 @dataclass
@@ -65,9 +65,13 @@ class SearchReport:
 class EvaluationOracle:
     """Point-evaluation black box with a declared monomial bound.
 
-    The declared bound must be at least the true number of monomials of the
-    underlying polynomial; the radius guarantees are conditional on that.
-    The counter increases by exactly one per point evaluated.
+    `batch` is the only evaluation route: it maps a sequence of points to an
+    int64 array of canonical value indices.  `poly` is the explicit
+    polynomial behind the oracle, if any; only the degree-bounded radius rule
+    reads it.  The declared bound must be at least the true number of
+    monomials of the underlying polynomial; the radius guarantees are
+    conditional on that.  The counter increases by exactly one per point
+    evaluated.
     """
 
     def __init__(
@@ -75,26 +79,19 @@ class EvaluationOracle:
         field: FieldSpec,
         nvars: int,
         bound: int,
-        func: Callable[[Point], FieldElement] | None = None,
+        batch: Callable[[Sequence[Point]], np.ndarray],
         poly: SparsePoly | None = None,
-        batch_func: Callable[[Sequence[Point]], np.ndarray] | None = None,
-        concurrency_safe: bool = True,
     ):
         if bound < 1:
             raise ValueError("monomial bound must be >= 1")
-        if (func is None) == (poly is None):
-            raise ValueError("provide exactly one of func or poly")
         if poly is not None and (poly.field is not field or poly.nvars != nvars):
             raise ValueError("poly does not match the declared field/arity")
         self.field = field
         self.nvars = nvars
         self.bound = bound
         self.poly = poly
-        self._func = func
-        self._batch_func = batch_func
-        self.concurrency_safe = concurrency_safe
+        self._batch = batch
         self.count = 0
-        self._lock = threading.Lock()
 
     @classmethod
     def from_poly(cls, p: SparsePoly, bound: int | None = None) -> "EvaluationOracle":
@@ -103,33 +100,24 @@ class EvaluationOracle:
             bound = m
         elif bound < m:
             raise ValueError(f"declared bound {bound} is below the actual count {m}")
-        return cls(p.field, p.nvars, bound, poly=p)
-
-    def _bump(self, n: int) -> None:
-        with self._lock:
-            self.count += n
+        return cls(p.field, p.nvars, bound, p.evaluate_many, poly=p)
 
     def evaluate(self, point: Point) -> FieldElement:
-        self._bump(1)
-        if self.poly is not None:
-            return self.poly.evaluate(point)
-        return self._func(tuple(point))
+        return FieldElement(self.field, int(self.evaluate_many([tuple(point)])[0]))
 
     def evaluate_many(self, points: Sequence[Point]) -> np.ndarray:
         """Canonical-index values for a batch of points."""
-        self._bump(len(points))
-        if self.poly is not None:
-            return self.poly.evaluate_many(points)
-        if self._batch_func is not None:
-            return self._batch_func(points)
-        return np.array([self._func(tuple(p)).index for p in points], dtype=np.int64)
+        self.count += len(points)
+        return self._batch(points)
 
 
-def radius_general(bound: int, r: int) -> int:
+def radius_general(bound: int, r: int, cap: int | None = None) -> int:
     """Largest k with r^k <= bound * (r-1)^k, i.e. floor(log_{r/(r-1)} bound).
 
-    Exact big-integer computation; boundary cases (e.g. r=3, bound=5) flip
-    under double rounding.
+    With a cap the loop stops there, so the result is min(k, cap) at a cost
+    of at most cap steps instead of about r * ln(bound).  Exact big-integer
+    computation; boundary cases (e.g. r=3, bound=5) flip under double
+    rounding.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -137,7 +125,7 @@ def radius_general(bound: int, r: int) -> int:
         raise ValueError("ratio order must be >= 2")
     k = 0
     rk, mk = r, r - 1
-    while rk <= bound * mk:
+    while (cap is None or k < cap) and rk <= bound * mk:
         k += 1
         rk *= r
         mk *= r - 1
@@ -171,7 +159,7 @@ def select_radius(
     candidates: list[tuple[int, str]] = []
     if not domain.contains_zero:
         r = max_ratio_order(domain.sets)
-        candidates.append((min(radius_general(oracle.bound, r), n), RULE_RATIO_ORDER))
+        candidates.append((radius_general(oracle.bound, r, n), RULE_RATIO_ORDER))
     if (
         oracle.poly is not None
         and all(oracle.poly.degree_in_variable(i) < len(domain.sets[i]) for i in range(n))
@@ -191,47 +179,52 @@ def select_radius(
     return min(candidates, key=lambda c: c[0])
 
 
-def _chunks(stream: Iterator[Point], size: int) -> Iterator[list[Point]]:
-    while True:
-        batch = list(islice(stream, size))
-        if not batch:
-            return
-        yield batch
-
-
 def _scan_ball(
     oracle: EvaluationOracle,
     domain: RectangularDomain,
     anchor: Point,
     radius: int,
-    jobs: int = 1,
 ) -> Point | None:
     """First ball point (in enumeration order) where the oracle is nonzero.
 
-    Points are evaluated in fixed-size chunks; with jobs > 1 and a
-    concurrency-safe oracle, chunks are evaluated in waves of `jobs`, so the
-    evaluation count is deterministic for a given jobs value.
+    Points are evaluated in one thread, in fixed-size chunks, so the
+    evaluation count is deterministic: whole chunks up to the witness.
     """
-    stream = _chunks(enumerate_ball(anchor, radius, domain), _CHUNK)
-    if jobs <= 1 or not oracle.concurrency_safe:
-        for batch in stream:
-            nz = np.flatnonzero(oracle.evaluate_many(batch))
-            if nz.size:
-                return batch[int(nz[0])]
-        return None
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        while True:
-            wave = list(islice(stream, jobs))
-            if not wave:
-                return None
-            for batch, vals in zip(wave, ex.map(oracle.evaluate_many, wave)):
-                nz = np.flatnonzero(vals)
-                if nz.size:
-                    return batch[int(nz[0])]
+    stream = enumerate_ball(anchor, radius, domain)
+    while batch := list(islice(stream, _CHUNK)):
+        nz = np.flatnonzero(oracle.evaluate_many(batch))
+        if nz.size:
+            return batch[int(nz[0])]
+    return None
+
+
+def _search(
+    oracle: EvaluationOracle,
+    domain: RectangularDomain,
+    anchor: Point,
+    radius: int,
+    theorem: str,
+    verdicts: tuple[str, str],
+    start: int,
+    radius_closed_form: float | None = None,
+) -> SearchReport:
+    """Scan the ball and report verdicts[0] (nothing nonzero) or verdicts[1],
+    billing the evaluations made since the oracle count was `start`."""
+    witness = _scan_ball(oracle, domain, anchor, radius)
+    distance = None if witness is None else hamming_distance(anchor, witness)
+    return SearchReport(
+        verdicts[witness is not None],
+        radius,
+        theorem,
+        oracle.count - start,
+        witness,
+        distance,
+        radius_closed_form,
+    )
 
 
 def test_zero_on_power_domain(
-    oracle: EvaluationOracle, s: Iterable[FieldElement], nvars: int, jobs: int = 1
+    oracle: EvaluationOracle, s: Iterable[FieldElement], nvars: int
 ) -> SearchReport:
     """Decide whether the oracle's polynomial vanishes on all of S^nvars.
 
@@ -254,17 +247,10 @@ def test_zero_on_power_domain(
     sset = [FieldElement(f, i) for i in elems]
     anchor = (sset[0],) * nvars
     r = max_ratio_order([sset])
-    k = min(radius_general(oracle.bound, r), nvars)
+    k = radius_general(oracle.bound, r, nvars)
     rule = RULE_SINGLE_POINT if len(sset) == 1 else RULE_RATIO_ORDER
     domain = RectangularDomain.power(f, sset, nvars)
-    start = oracle.count
-    witness = _scan_ball(oracle, domain, anchor, k, jobs)
-    evals = oracle.count - start
-    if witness is None:
-        return SearchReport("vanishes", k, rule, evals)
-    return SearchReport(
-        "witness", k, rule, evals, witness, hamming_distance(anchor, witness)
-    )
+    return _search(oracle, domain, anchor, k, rule, _NONZERO_VERDICTS, oracle.count)
 
 
 def find_nonzero_near(
@@ -272,7 +258,6 @@ def find_nonzero_near(
     anchor: Point,
     domain: RectangularDomain,
     bound: int | None = None,
-    jobs: int = 1,
 ) -> SearchReport:
     """Nearest nonzero of p within the guaranteed radius around the anchor.
 
@@ -285,10 +270,4 @@ def find_nonzero_near(
     oracle = EvaluationOracle.from_poly(p, bound)
     # count from zero so a zero-domain hypothesis check is billed too
     k, rule = select_radius(oracle, domain, anchor)
-    witness = _scan_ball(oracle, domain, anchor, k, jobs)
-    evals = oracle.count
-    if witness is None:
-        return SearchReport("vanishes", k, rule, evals)
-    return SearchReport(
-        "witness", k, rule, evals, witness, hamming_distance(anchor, witness)
-    )
+    return _search(oracle, domain, anchor, k, rule, _NONZERO_VERDICTS, 0)

@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from gridball import brute
 from gridball.cli import main
+from gridball.domain import RectangularDomain
+from gridball.gf import make_field
+from gridball.poly import SparsePoly
 
 
 def _write(path, obj):
@@ -217,6 +221,49 @@ def test_solve_system_zero_domain(capsys, tmp_path):
     # anchor not the nonzero corner -> error
     code, _, _ = _run(capsys, ["solve-system", "--system", sysf, "--anchor", "0,3"])
     assert code == 2
+    # the origin is not a solution of x1 - x2 + 1 -> error
+    no_origin = _write(
+        tmp_path / "zd1.json",
+        {
+            "field": "GF(5)",
+            "polys": [
+                {"nvars": 2, "terms": [{"coeff": 1, "exps": [1, 0]}, {"coeff": 4, "exps": [0, 1]}, {"coeff": 1, "exps": [0, 0]}]}
+            ],
+            "domain": {"field": "GF(5)", "sets": [[0, 2], [0, 3]]},
+            "anchor": [2, 3],
+        },
+    )
+    code, _, err = _run(capsys, ["solve-system", "--system", no_origin])
+    assert code == 2 and "origin" in err
+
+
+def test_solve_system_gf256_caps_the_radius_at_n(capsys, tmp_path):
+    # the ratio generator/1 has order r = 255, so floor(log_t m_hat) is about
+    # 1.4e5; the radius loop stops at N = 5 instead of running that far
+    f = make_field(2, 8)
+    n = 5
+    sets = [[1, f.generator_index, 7], [3, 5, 9], [11, 13, 17], [19, 23, 29], [31, 37, 41]]
+    x = [SparsePoly.variable(f, n, i) for i in range(n)]
+    t = [f.element(s[2]) for s in sets]  # planted solution
+    p1 = x[0] * x[1] + x[2] + SparsePoly.constant(f, n, t[0] * t[1] + t[2])
+    p2 = x[3] * x[4] + x[0] + SparsePoly.constant(f, n, t[3] * t[4] + t[0])
+    assert p1.monomial_count() == p2.monomial_count() == 3
+    dom = RectangularDomain(f, [[f.element(i) for i in s] for s in sets])
+    sysf = _write(
+        tmp_path / "gf256.json",
+        {
+            "field": f.name,
+            "polys": [p1.to_json_dict(), p2.to_json_dict()],
+            "domain": dom.to_json_dict(),
+            "anchor": [s[0] for s in sets],
+        },
+    )
+    code, report, _ = _run(capsys, ["solve-system", "--system", sysf])
+    sols = brute.solution_positions([p1, p2], dom)
+    witness = [sets[i].index(v) for i, v in enumerate(report["witness"])]
+    assert code == 1 and report["radius"] == n
+    assert witness in sols.tolist()
+    assert report["distance"] == int((sols != 0).sum(axis=1).min())
 
 
 def test_verify_bounds(capsys):
@@ -266,14 +313,3 @@ def test_reports_are_byte_identical(tmp_path, capsys, fermat_files, system_file)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
-
-def test_jobs_flag(capsys, fermat_files):
-    poly, dom = fermat_files
-    code, report, _ = _run(
-        capsys, ["test-zero", "--poly", poly, "--domain", dom, "--jobs", "2"]
-    )
-    assert code == 0 and report["jobs"] == 2
-    code, _, _ = _run(
-        capsys, ["test-zero", "--poly", poly, "--domain", dom, "--jobs", "0"]
-    )
-    assert code == 2

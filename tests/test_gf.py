@@ -163,20 +163,28 @@ def test_field_axioms_exhaustive(p, k):
     assert np.all((mul[1:] == 1).sum(axis=1) == 1)
 
 
-def test_vec_ops_match_scalar_ops(f9):
+@pytest.mark.parametrize("p,k", [(3, 2), (2, 8), (2, 12)])
+def test_vec_ops_match_scalar_ops(p, k):
+    f = make_field(p, k)
     rngN = 50
     rs = np.random.RandomState(7)
-    a = rs.randint(0, f9.q, rngN)
-    b = rs.randint(0, f9.q, rngN)
+    a = rs.randint(0, f.q, rngN)
+    b = rs.randint(0, f.q, rngN)
     assert np.array_equal(
-        f9.vec_add(a, b), np.array([f9.add_index(x, y) for x, y in zip(a, b)])
+        f.vec_add(a, b), np.array([f.add_index(x, y) for x, y in zip(a, b)])
     )
+    # addition is digit-wise mod p on the coefficient vectors
+    digitwise = [
+        f._vec_to_index([(u + v) % p for u, v in zip(f._index_to_vec(x), f._index_to_vec(y))])
+        for x, y in zip(a, b)
+    ]
+    assert f.vec_add(a, b).tolist() == digitwise
     assert np.array_equal(
-        f9.vec_mul(a, b), np.array([f9.mul_index(x, y) for x, y in zip(a, b)])
+        f.vec_mul(a, b), np.array([f.mul_index(x, y) for x, y in zip(a, b)])
     )
     for e in (0, 1, 2, 5, 8, 9, 17):
         assert np.array_equal(
-            f9.vec_pow(a, e), np.array([f9.pow_index(x, e) for x in a])
+            f.vec_pow(a, e), np.array([f.pow_index(x, e) for x in a])
         )
 
 

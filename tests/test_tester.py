@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -33,11 +34,12 @@ def test_radius_general_examples():
         radius_general(4, 1)
 
 
-@given(st.integers(1, 10**6), st.integers(2, 50))
-def test_radius_general_exact_characterization(m, r):
+@given(st.integers(1, 10**6), st.integers(2, 50), st.integers(0, 60))
+def test_radius_general_exact_characterization(m, r, cap):
     k = radius_general(m, r)
     assert r**k <= m * (r - 1) ** k
     assert r ** (k + 1) > m * (r - 1) ** (k + 1)
+    assert radius_general(m, r, cap) == min(k, cap)
 
 
 @given(st.integers(1, 10**4), st.integers(2, 30))
@@ -73,14 +75,19 @@ def test_oracle_bound_validation(f3):
         EvaluationOracle.from_poly(p, bound=1)
     assert EvaluationOracle.from_poly(p, bound=7).bound == 7
     with pytest.raises(ValueError):
-        EvaluationOracle(f3, 1, 0, func=lambda x: f3.zero)
+        EvaluationOracle(f3, 1, 0, lambda pts: np.zeros(len(pts), dtype=np.int64))
 
 
 def test_black_box_oracle_matches_poly(f5):
     p = SparsePoly(f5, 2, {(1, 1): f5.element(2), (0, 0): f5.one})
-    o = EvaluationOracle(f5, 2, 2, func=lambda x: p.evaluate(x))
+    # a batch route built from scalar evaluations, hiding the polynomial
+    o = EvaluationOracle(
+        f5, 2, 2, lambda pts: np.array([p.evaluate(x).index for x in pts], dtype=np.int64)
+    )
     pts = [(f5.element(i), f5.element(j)) for i in range(5) for j in range(5)]
     assert o.evaluate_many(pts).tolist() == [p.evaluate(x).index for x in pts]
+    assert [o.evaluate(x) for x in pts] == [p.evaluate(x) for x in pts]
+    assert o.count == 2 * len(pts)
 
 
 # -- select_radius ------------------------------------------------------------------
@@ -135,7 +142,7 @@ def test_select_radius_zero_domain_literal_m4(f5):
 
 def test_select_radius_errors(f5):
     dom = RectangularDomain(f5, [[f5.zero, f5.one], [f5.zero, f5.one]])
-    oracle = EvaluationOracle(f5, 2, 4, func=lambda x: f5.one)
+    oracle = EvaluationOracle(f5, 2, 4, lambda pts: np.ones(len(pts), dtype=np.int64))
     with pytest.raises(ValueError):
         select_radius(oracle, dom, (f5.element(2), f5.one))  # anchor outside
     # black box on a zero-containing domain, anchor not the nonzero corner
@@ -303,34 +310,3 @@ def test_find_nonzero_degree_rule_on_zero_containing_domain(f5):
         assert rep.theorem == "degree-bounded"
         expected = brute.nearest_nonzero_distance(p, dom, anchor)
         assert rep.distance == expected
-
-
-def test_unsafe_oracle_stays_sequential(f5):
-    # an oracle that declares itself not concurrency-safe is scanned
-    # sequentially even when jobs > 1, and still gives the same answer
-    p = SparsePoly(f5, 2, {(1, 1): f5.one, (0, 0): f5.element(4)})
-    oracle = EvaluationOracle(
-        f5, 2, 2, func=lambda x: p.evaluate(x), concurrency_safe=False
-    )
-    rep = run_zero_test(oracle, [f5.one, f5.element(2)], 2, jobs=4)
-    ref = run_zero_test(
-        EvaluationOracle.from_poly(p), [f5.one, f5.element(2)], 2, jobs=1
-    )
-    assert (rep.verdict, rep.witness, rep.distance, rep.evaluations) == (
-        ref.verdict,
-        ref.witness,
-        ref.distance,
-        ref.evaluations,
-    )
-
-
-def test_find_nonzero_jobs_do_not_change_the_answer(f7):
-    rng = random.Random(3)
-    p = brute.random_sparse_poly(rng, f7, 4, 6, 6)
-    dom = RectangularDomain.power(f7, [f7.element(i) for i in (1, 3, 5)], 4)
-    anchor = (f7.element(3),) * 4
-    seq = find_nonzero_near(p, anchor, dom, jobs=1)
-    par = find_nonzero_near(p, anchor, dom, jobs=3)
-    assert (seq.verdict, seq.witness, seq.distance) == (par.verdict, par.witness, par.distance)
-    par2 = find_nonzero_near(p, anchor, dom, jobs=3)
-    assert par.evaluations == par2.evaluations  # deterministic per jobs value
