@@ -320,15 +320,16 @@ def main(argv: list[str] | None = None) -> int:
     config = config_from_args(args)
     try:
         code, report = run(config)
+        # encoding can fail too: an integer past the int-to-str digit limit
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        if config.out:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, TypeError, KeyError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     print(_summary(code, report), file=sys.stderr)
     return code
 

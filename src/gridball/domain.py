@@ -2,7 +2,7 @@
 
 A rectangular domain is a product A_1 x .. x A_N of nonempty subsets of a
 finite field, one per coordinate.  Domains are immutable; ball enumeration
-yields freshly built points and may run concurrently.
+yields freshly built points.
 
 JSON format: {"field": "GF(p^k)", "sets": [[indices], ..]}.
 """

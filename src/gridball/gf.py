@@ -11,6 +11,12 @@ addition is digitwise mod-p arithmetic on the index.  The reducing polynomial
 is the lexicographically smallest monic irreducible of degree k over GF(p),
 coefficients compared constant term first, so indices are portable across
 runs and implementations.
+
+Construction works on k x k matrices over GF(p): multiplication by an
+element is a polynomial in the companion matrix of the modulus.  The modulus
+search runs Rabin's test on companion matrices, the generator test takes
+matrix powers, and the exp table is filled by doubling, one matrix product
+per power of two.
 """
 
 from __future__ import annotations
@@ -57,79 +63,42 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate polynomials over GF(p), used only to bootstrap the tables.
-# Coefficient lists are low-degree first and normalized (no trailing zeros).
+# Matrices over GF(p), used only to construct a field.  Multiplication by an
+# element a = sum a_i X^i is the k x k matrix sum a_i C^i, where C is the
+# companion matrix of the modulus; column vectors are coefficient vectors, low
+# degree first.  Entries stay below p, so int64 products cannot overflow.
 
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _companion(low: Sequence[int], p: int) -> np.ndarray:
+    """Matrix of multiplication by X modulo the monic X^k + sum low_i X^i."""
+    k = len(low)
+    c = np.zeros((k, k), dtype=np.int64)
+    c[1:, :-1] = np.eye(k - 1, dtype=np.int64)
+    c[:, -1] = [(-x) % p for x in low]
+    return c
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    # m must be monic
-    r = list(a)
-    dm = len(m) - 1
-    while len(r) - 1 >= dm and r:
-        c = r[-1]
-        shift = len(r) - 1 - dm
-        if c:
-            for j, mj in enumerate(m):
-                r[shift + j] = (r[shift + j] - c * mj) % p
-        r.pop()
-    return _poly_trim(r)
-
-
-def _poly_powmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_mod(a, m, p)
+def _mat_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
+    r = np.eye(len(m), dtype=np.int64)
     while e:
         if e & 1:
-            result = _poly_mod(_poly_mul(result, base, p), m, p)
-        base = _poly_mod(_poly_mul(base, base, p), m, p)
+            r = r @ m % p
+        m = m @ m % p
         e >>= 1
-    return result
+    return r
 
 
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        # make b monic before reducing
-        inv = pow(b[-1], p - 2, p)
-        b = [(c * inv) % p for c in b]
-        a, b = b, _poly_mod(a, b, p)
-    return a
-
-
-def _is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Rabin's irreducibility test for a monic polynomial over GF(p)."""
-    k = len(f) - 1
-    if k < 1:
-        return False
-    x = [0, 1]
-    # x^(p^k) == x (mod f)
-    if _poly_powmod(x, p**k, f, p) != _poly_mod(x, f, p):
-        return False
-    for ell in _prime_factors(k):
-        h = _poly_powmod(x, p ** (k // ell), f, p)
-        diff = list(h)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(list(f), _poly_trim(diff), p)
-        if len(g) - 1 >= 1:
+def _invertible(m: np.ndarray, p: int) -> bool:
+    """Whether a square matrix is invertible mod p, by Gaussian elimination."""
+    m = m % p
+    for col in range(len(m)):
+        nonzero = np.flatnonzero(m[col:, col])
+        if nonzero.size == 0:
             return False
+        piv = col + nonzero[0]
+        m[[col, piv]] = m[[piv, col]]
+        scale = m[col + 1 :, col] * pow(int(m[col, col]), -1, p) % p
+        m[col + 1 :] = (m[col + 1 :] - np.outer(scale, m[col])) % p
     return True
 
 
@@ -137,14 +106,22 @@ def _canonical_modulus(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree k over GF(p).
 
     Candidate coefficient tuples (c_0, .., c_{k-1}) are compared constant
-    term first; the leading coefficient is fixed to 1.
+    term first; the leading coefficient is fixed to 1.  Candidates with
+    c_0 = 0 are divisible by X and skipped.  The rest get Rabin's test on
+    the companion matrix C: C^(p^k) == C, and C^(p^(k/l)) - C invertible
+    for every prime l dividing k.
     """
     if k == 1:
         return (0, 1)
-    for low in product(range(p), repeat=k):
-        f = list(low) + [1]
-        if _is_irreducible(f, p):
-            return tuple(f)
+    for low in product(range(1, p), *[range(p)] * (k - 1)):
+        c = _companion(low, p)
+        frobenius = [c]  # C^(p^j) for j = 0 .. k
+        for _ in range(k):
+            frobenius.append(_mat_pow(frobenius[-1], p, p))
+        if np.array_equal(frobenius[k], c) and all(
+            _invertible(frobenius[k // ell] - c, p) for ell in _prime_factors(k)
+        ):
+            return (*low, 1)
     raise AssertionError(f"no irreducible of degree {k} over GF({p})")
 
 
@@ -244,55 +221,43 @@ class FieldSpec:
         self.modulus = _canonical_modulus(p, k)
         self._build_tables()
 
-    # -- construction helpers ------------------------------------------------
-
-    def _index_to_vec(self, idx: int) -> list[int]:
-        v = []
-        for _ in range(self.k):
-            idx, d = divmod(idx, self.p)
-            v.append(d)
-        return v
-
-    def _vec_to_index(self, v: Sequence[int]) -> int:
-        idx = 0
-        for d in reversed(v):
-            idx = idx * self.p + d
-        return idx
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        prod = _poly_mul(self._index_to_vec(a), self._index_to_vec(b), self.p)
-        return self._vec_to_index(_poly_mod(prod, self.modulus, self.p))
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return r
+    # -- construction ---------------------------------------------------------
 
     def _build_tables(self) -> None:
-        q = self.q
-        factors = _prime_factors(q - 1) if q > 2 else []
+        p, k, q = self.p, self.k, self.q
+        place = p ** np.arange(k, dtype=np.int64)
+        c = _companion(self.modulus[:-1], p)
+        c_powers = np.array([_mat_pow(c, i, p) for i in range(k)])
+
+        def matrix(index: int) -> np.ndarray:
+            return np.tensordot(index // place % p, c_powers, 1) % p
+
+        one = np.eye(k, dtype=np.int64)
+        factors = _prime_factors(q - 1)
         gen = 1
         for cand in range(2, q):
-            if all(self._pow_raw(cand, (q - 1) // ell) != 1 for ell in factors):
+            m = matrix(cand)
+            if all(not np.array_equal(_mat_pow(m, (q - 1) // ell, p), one) for ell in factors):
                 gen = cand
                 break
         self.generator_index = gen
-        exp = [1] * (q - 1)
-        for j in range(1, q - 1):
-            exp[j] = self._mul_raw(exp[j - 1], gen)
-        log = [0] * q  # log[0] is a placeholder, never valid
-        for j, v in enumerate(exp):
-            log[v] = j
-        self._exp = exp
-        self._log = log
-        self._exp_arr = np.array(exp, dtype=np.int64)
-        self._log_arr = np.array(log, dtype=np.int64)
+        # coefficient columns of g^0 .. g^(q-2), filled by doubling:
+        # the block g^n .. g^(2n-1) is the matrix of g^n times the first n
+        cols = np.zeros((k, q - 1), dtype=np.int64)
+        cols[0, 0] = 1
+        m, n = matrix(gen), 1
+        while n < q - 1:
+            step = min(n, q - 1 - n)
+            cols[:, n : n + step] = m @ cols[:, :step] % p
+            m = m @ m % p
+            n += step
+        exp = place @ cols
+        log = np.zeros(q, dtype=np.int64)  # log[0] is a placeholder, never valid
+        log[exp] = np.arange(q - 1)
+        self._exp = exp.tolist()
+        self._log = log.tolist()
+        self._exp_arr = exp
+        self._log_arr = log
         if q <= _ADD_TABLE_LIMIT:
             self._add_table = [
                 [self._add_slow(a, b) for b in range(q)] for a in range(q)
@@ -385,9 +350,6 @@ class FieldSpec:
         if e == 0:
             return np.ones_like(a)
         er = e % (self.q - 1)
-        if er == 0:
-            # a != 0 gives 1, a == 0 stays 0
-            return np.where(a == 0, 0, 1)
         powed = self._exp_arr[(self._log_arr[a] * er) % (self.q - 1)]
         return np.where(a == 0, 0, powed)
 

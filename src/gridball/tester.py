@@ -14,6 +14,7 @@ trusted near a boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Sequence
@@ -114,21 +115,21 @@ class EvaluationOracle:
 def radius_general(bound: int, r: int, cap: int | None = None) -> int:
     """Largest k with r^k <= bound * (r-1)^k, i.e. floor(log_{r/(r-1)} bound).
 
-    With a cap the loop stops there, so the result is min(k, cap) at a cost
-    of at most cap steps instead of about r * ln(bound).  Exact big-integer
-    computation; boundary cases (e.g. r=3, bound=5) flip under double
-    rounding.
+    With a cap the result is min(k, cap).  A float logarithm guesses k and
+    exact big-integer comparisons step it to the answer, since boundary
+    cases (e.g. r=3, bound=5) flip under double rounding.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if r < 2:
         raise ValueError("ratio order must be >= 2")
-    k = 0
-    rk, mk = r, r - 1
-    while (cap is None or k < cap) and rk <= bound * mk:
+    k = int(math.log(bound) / math.log1p(1 / (r - 1)))
+    if cap is not None:
+        k = min(k, cap)
+    while k > 0 and r**k > bound * (r - 1) ** k:
+        k -= 1
+    while (cap is None or k < cap) and r ** (k + 1) <= bound * (r - 1) ** (k + 1):
         k += 1
-        rk *= r
-        mk *= r - 1
     return k
 
 

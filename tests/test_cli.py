@@ -115,6 +115,26 @@ def test_structurally_wrong_json(capsys, tmp_path, fermat_files):
     assert code == 2
 
 
+def test_unprintable_report_exits_2(capsys, tmp_path):
+    # with M = 64 on GF(2^12) the budget is 2^17028, past the int-to-str digit limit
+    poly = _write(
+        tmp_path / "p.json",
+        {"field": "GF(2^12)", "nvars": 2, "terms": [{"coeff": 1, "exps": [1, 1]}]},
+    )
+    dom = _write(tmp_path / "d.json", {"field": "GF(2^12)", "sets": [[1, 2], [1, 2]]})
+    code = main(["test-zero", "--poly", poly, "--domain", dom, "--bound", "64"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == "" and out.err.startswith("error:")
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path, fermat_files):
+    poly, dom = fermat_files
+    out = tmp_path / "missing" / "r.json"
+    code, _, err = _run(capsys, ["test-zero", "--poly", poly, "--domain", dom, "--out", str(out)])
+    assert code == 2 and err.startswith("error:")
+    assert not out.exists()
+
+
 def test_text_polynomial_input(capsys, tmp_path, fermat_files):
     _, dom = fermat_files
     poly = tmp_path / "p.txt"

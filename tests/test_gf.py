@@ -174,15 +174,18 @@ def test_vec_ops_match_scalar_ops(p, k):
         f.vec_add(a, b), np.array([f.add_index(x, y) for x, y in zip(a, b)])
     )
     # addition is digit-wise mod p on the coefficient vectors
+    def digits(x):
+        return [x // p**i % p for i in range(k)]
+
     digitwise = [
-        f._vec_to_index([(u + v) % p for u, v in zip(f._index_to_vec(x), f._index_to_vec(y))])
+        sum((u + v) % p * p**i for i, (u, v) in enumerate(zip(digits(x), digits(y))))
         for x, y in zip(a, b)
     ]
     assert f.vec_add(a, b).tolist() == digitwise
     assert np.array_equal(
         f.vec_mul(a, b), np.array([f.mul_index(x, y) for x, y in zip(a, b)])
     )
-    for e in (0, 1, 2, 5, 8, 9, 17):
+    for e in (0, 1, 2, 5, 8, 9, 17, f.q - 1, 2 * (f.q - 1)):
         assert np.array_equal(
             f.vec_pow(a, e), np.array([f.pow_index(x, e) for x in a])
         )

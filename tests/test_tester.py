@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridball import brute
@@ -35,6 +35,9 @@ def test_radius_general_examples():
 
 
 @given(st.integers(1, 10**6), st.integers(2, 50), st.integers(0, 60))
+@example(64, 4095, 60)
+@example(64, 16383, 60)
+@settings(deadline=None)  # the two explicit cases take big-integer powers of 10^5-10^6 bits
 def test_radius_general_exact_characterization(m, r, cap):
     k = radius_general(m, r)
     assert r**k <= m * (r - 1) ** k
