@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from gridball import brute
 from gridball.domain import RectangularDomain
-from gridball.gf import FieldSpec, parse_field_name
+from gridball.gf import FieldSpec, json_int, parse_field_name
 from gridball.poly import SparsePoly
 from gridball.solver import PolySystem, solve_near, solve_near_zero_domain
 from gridball.tester import EvaluationOracle, find_nonzero_near, radius_general, test_zero_on_power_domain
@@ -167,7 +167,7 @@ def cmd_solve_system(config: RunConfig) -> tuple[int, dict]:
         anchor_idx = [int(t) for t in config.anchor.split(",")]
     if anchor_idx is None:
         raise ValueError("the system file or --anchor must provide an anchor")
-    anchor = tuple(field.element(int(i)) for i in anchor_idx)
+    anchor = tuple(field.element(json_int(i, "anchor index")) for i in anchor_idx)
     if len(anchor) != system.nvars:
         raise ValueError("anchor has the wrong number of coordinates")
 

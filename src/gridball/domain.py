@@ -1,8 +1,9 @@
 """Rectangular domains, Hamming distance, ball enumeration, and ball volumes.
 
 A rectangular domain is a product A_1 x .. x A_N of nonempty subsets of a
-finite field, one per coordinate.  Domains are immutable; ball enumeration
-yields freshly built points.
+finite field, one per coordinate.  Domains are immutable.  A Hamming ball
+comes as int64 arrays of canonical indices, in fixed-size chunks
+(ball_chunks), or as FieldElement tuples in the same order (enumerate_ball).
 
 JSON format: {"field": "GF(p^k)", "sets": [[indices], ..]}.
 """
@@ -10,12 +11,17 @@ JSON format: {"field": "GF(p^k)", "sets": [[indices], ..]}.
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterable, Iterator, Sequence
 
-from gridball.gf import FieldElement, FieldSpec, parse_field_name
+import numpy as np
+
+from gridball.gf import FieldElement, FieldSpec, json_int, parse_field_name
 
 Point = tuple[FieldElement, ...]
+
+# ball points decoded at a time for enumerate_ball
+_TUPLE_CHUNK = 256
 
 
 class RectangularDomain:
@@ -93,7 +99,7 @@ class RectangularDomain:
         f = field if field is not None else parse_field_name(data["field"])
         if f.name != data["field"]:
             raise ValueError(f"field mismatch: {f.name} vs {data['field']}")
-        return cls(f, [[f.element(int(i)) for i in a] for a in data["sets"]])
+        return cls(f, [[f.element(json_int(i, "set index")) for i in a] for a in data["sets"]])
 
 
 def hamming_distance(a: Sequence, b: Sequence) -> int:
@@ -103,32 +109,119 @@ def hamming_distance(a: Sequence, b: Sequence) -> int:
     return sum(1 for x, y in zip(a, b) if x != y)
 
 
-def enumerate_ball(
-    center: Sequence[FieldElement], radius: int, domain: RectangularDomain
-) -> Iterator[Point]:
-    """Lazily yield the domain points within Hamming radius of the center.
+def ball_chunks(
+    center: Sequence[FieldElement], radius: int, domain: RectangularDomain, size: int
+) -> Iterator[np.ndarray]:
+    """The points of the Hamming ball around the center as int64 index arrays.
 
-    Each point appears exactly once.  Order: radius 0 first, then radius 1,
-    and so on; within a radius, changed-position subsets in lexicographic
-    order and replacement values in canonical element order.
+    Yields (size, N) arrays of canonical indices, the last one possibly
+    shorter, with each point exactly once.  Order: radius 0 first, then
+    radius 1, and so on; within a radius, changed-position subsets in
+    lexicographic order and replacement values in canonical element order,
+    the last changed position fastest.
+
+    A shell is built by decoding point ranks.  Its position subsets come in
+    batches of at most `size`; np.searchsorted over their cumulative point
+    counts gives each point its subset, and the mixed-radix digits of its
+    rank in the subset pick its values from one padded table of
+    alternatives.  Counts saturate at size + 1, and a subset with more
+    points than that is decoded on its own, from an exact offset, so memory
+    stays O(size * N) however large the ball.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    if size < 1:
+        raise ValueError("chunk size must be >= 1")
     center = tuple(center)
     if not domain.contains(center):
         raise ValueError("center is not a point of the domain")
     n = domain.nvars
-    yield center
-    alternatives = [
-        tuple(x for x in domain.sets[i] if x != center[i]) for i in range(n)
-    ]
-    for rho in range(1, min(radius, n) + 1):
-        for positions in combinations(range(n), rho):
-            for repl in product(*(alternatives[i] for i in positions)):
-                point = list(center)
-                for i, x in zip(positions, repl):
-                    point[i] = x
-                yield tuple(point)
+    base = np.array([x.index for x in center], dtype=np.int64)
+    alternatives = [[x.index for x in a if x != c] for a, c in zip(domain.sets, center)]
+    radix = np.array([len(a) for a in alternatives], dtype=np.int64)
+    width = max(1, max(radix, default=0))
+    table = np.zeros((n, width), dtype=np.int64)
+    for i, a in enumerate(alternatives):
+        table[i, : len(a)] = a
+    flat_table = table.reshape(-1)
+    # a subset that contains a single-valued coordinate has no points
+    movable = [i for i in range(n) if alternatives[i]]
+
+    def points(pos: np.ndarray, rank: np.ndarray, start: Sequence[int]) -> np.ndarray:
+        # rows of the points whose changed positions are pos ((m, rho), a
+        # subset per point, or (rho,), one subset for all) and whose
+        # replacement digits are start + rank in those positions' radix
+        rows = np.empty((len(rank), n), dtype=np.int64)
+        rows[:] = base
+        flat = rows.reshape(-1)
+        row_starts = np.arange(0, rows.size, n)
+        rad = radix[pos]
+        carry = rank
+        for t in range(pos.shape[-1] - 1, -1, -1):
+            carry, digit = np.divmod(carry + start[t], rad[..., t])
+            flat[row_starts + pos[..., t]] = flat_table[pos[..., t] * width + digit]
+        return rows
+
+    def ranked(pos, counts, ends, lo, hi) -> Iterator[np.ndarray]:
+        # cumulative ranks lo..hi-1 of a batch, none of them in a big subset
+        for x in range(lo, hi, size):
+            at = np.arange(x, min(x + size, hi))
+            sub = np.searchsorted(ends, at, side="right")
+            yield points(pos[sub], at - (ends[sub] - counts[sub]), [0] * pos.shape[1])
+
+    def big(pos) -> Iterator[np.ndarray]:
+        # one subset with more than `size` points, from exact Python offsets
+        rad = radix[pos].tolist()
+        total = math.prod(rad)
+        for offset in range(0, total, size):
+            start, rest = [], offset
+            for r in reversed(rad):
+                rest, d = divmod(rest, r)
+                start.append(d)
+            yield points(pos, np.arange(min(size, total - offset)), start[::-1])
+
+    def pieces() -> Iterator[np.ndarray]:
+        yield base[None, :]
+        for rho in range(1, min(radius, len(movable)) + 1):
+            subsets = combinations(movable, rho)
+            while batch := list(islice(subsets, size)):
+                pos = np.array(batch, dtype=np.int64)
+                counts = np.ones(len(batch), dtype=np.int64)
+                for t in range(rho):
+                    counts = np.minimum(counts * radix[pos[:, t]], size + 1)
+                ends = np.cumsum(counts)
+                x = 0
+                for j in np.flatnonzero(counts > size).tolist():
+                    yield from ranked(pos, counts, ends, x, int(ends[j] - counts[j]))
+                    yield from big(pos[j])
+                    x = int(ends[j])
+                yield from ranked(pos, counts, ends, x, int(ends[-1]))
+
+    chunk = np.empty((size, n), dtype=np.int64)
+    filled = 0
+    for rows in pieces():
+        while len(rows):
+            take = min(size - filled, len(rows))
+            chunk[filled : filled + take] = rows[:take]
+            filled += take
+            rows = rows[take:]
+            if filled == size:
+                yield chunk
+                chunk = np.empty((size, n), dtype=np.int64)
+                filled = 0
+    if filled:
+        yield chunk[:filled]
+
+
+def enumerate_ball(
+    center: Sequence[FieldElement], radius: int, domain: RectangularDomain
+) -> Iterator[Point]:
+    """Lazily yield the domain points within Hamming radius of the center,
+    as FieldElement tuples, in ball_chunks order."""
+    field = domain.field
+    for chunk in ball_chunks(center, radius, domain, _TUPLE_CHUNK):
+        for row in chunk.tolist():
+            yield tuple(FieldElement(field, i) for i in row)
 
 
 def vol(s: int, n: int, k: float) -> int:

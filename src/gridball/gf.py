@@ -205,6 +205,7 @@ class FieldSpec:
         "_add_table",
         "_exp_arr",
         "_log_arr",
+        "_packed_arr",
     )
 
     def __init__(self, p: int, k: int):
@@ -258,6 +259,12 @@ class FieldSpec:
         self._log = log.tolist()
         self._exp_arr = exp
         self._log_arr = log
+        # for vec_sum: the base-p digits of each index, one per 63 // k bits
+        if p > 2 and k > 1:
+            index = np.arange(q, dtype=np.int64)
+            self._packed_arr = sum((index // p**j % p) << (63 // k * j) for j in range(k))
+        else:
+            self._packed_arr = None
         if q <= _ADD_TABLE_LIMIT:
             self._add_table = [
                 [self._add_slow(a, b) for b in range(q)] for a in range(q)
@@ -340,6 +347,27 @@ class FieldSpec:
             pw *= self.p
         return out
 
+    def vec_sum(self, a: np.ndarray) -> np.ndarray:
+        """Field sum of an index array along its last axis."""
+        if self.p == 2:
+            return np.bitwise_xor.reduce(a, axis=-1)
+        if self.k == 1:
+            return a.sum(axis=-1) % self.p
+        # digit-wise sums mod p: in packed form a group of up to `group`
+        # addends cannot carry from one digit's bit field into the next
+        width = 63 // self.k
+        group = ((1 << width) - 1) // (self.p - 1)
+        n = a.shape[-1]
+        if n > group:
+            padded = np.zeros(a.shape[:-1] + (n + -n % group,), dtype=np.int64)
+            padded[..., :n] = a
+            return self.vec_sum(self.vec_sum(padded.reshape(a.shape[:-1] + (-1, group))))
+        sums = self._packed_arr[a].sum(axis=-1)
+        out = np.zeros(sums.shape, dtype=np.int64)
+        for j in range(self.k):
+            out += (sums >> (width * j) & ((1 << width) - 1)) % self.p * self.p**j
+        return out
+
     def vec_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         prod = self._exp_arr[(self._log_arr[a] + self._log_arr[b]) % (self.q - 1)]
         return np.where((a == 0) | (b == 0), 0, prod)
@@ -393,6 +421,13 @@ def make_field(p: int, k: int = 1) -> FieldSpec:
         spec = FieldSpec(p, k)
         _field_cache[key] = spec
     return spec
+
+
+def json_int(value: object, what: str) -> int:
+    """A JSON integer as an int; floats, booleans and strings are rejected."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
 
 
 def parse_field_name(name: str) -> FieldSpec:

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from gridball.gf import FieldElement, FieldSpec, parse_field_name
+from gridball.gf import FieldElement, FieldSpec, json_int, parse_field_name
 
 if TYPE_CHECKING:
     from gridball.domain import RectangularDomain
@@ -28,6 +28,9 @@ if TYPE_CHECKING:
 Exponents = tuple[int, ...]
 
 _TERM_VAR = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+
+# most elements in one points x terms work array of evaluate_many
+_WORK_ELEMS = 1 << 16
 
 
 class SparsePoly:
@@ -37,7 +40,7 @@ class SparsePoly:
     treat it as read-only.
     """
 
-    __slots__ = ("field", "nvars", "terms")
+    __slots__ = ("field", "nvars", "terms", "_log_form")
 
     def __init__(self, field: FieldSpec, nvars: int, terms: Mapping[Exponents, FieldElement]):
         if nvars < 0:
@@ -55,6 +58,7 @@ class SparsePoly:
         self.field = field
         self.nvars = nvars
         self.terms = clean
+        self._log_form = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -135,29 +139,60 @@ class SparsePoly:
             acc = f.add_index(acc, t)
         return FieldElement(f, acc)
 
-    def evaluate_many(self, points) -> np.ndarray:
-        """Values at a batch of points, as an int64 array of canonical indices.
+    def _log_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exponents and supports (nvars x terms) and coefficient logs, built once.
 
-        ``points`` is either an (n, nvars) integer array of indices or an
-        iterable of FieldElement tuples.
+        Each exponent e >= 1 is folded to ((e-1) mod (q-1)) + 1 in Python
+        integers, which keeps x^e for every x, zero included.  The exponents
+        are float64 when every sum of evaluate_many's matrix product stays
+        below 2^53, so the product is exact and runs on BLAS.
         """
-        f = self.field
-        if isinstance(points, np.ndarray):
-            arr = points
-        else:
-            arr = np.array(
-                [[xi.index for xi in pt] for pt in points], dtype=np.int64
-            ).reshape(-1, self.nvars)
-        if arr.ndim != 2 or arr.shape[1] != self.nvars:
+        if self._log_form is None:
+            f = self.field
+            order = f.q - 1
+            dtype = np.float64 if self.nvars * order * order < 1 << 53 else np.int64
+            exps = np.array(
+                [[(e - 1) % order + 1 if e else 0 for e in ex] for ex in self.terms],
+                dtype=dtype,
+            ).reshape(len(self.terms), self.nvars)
+            exps = np.ascontiguousarray(exps.T)
+            log_coeffs = np.array([f._log[c.index] for c in self.terms.values()], dtype=np.int64)
+            self._log_form = (exps, (exps > 0).astype(np.float32), log_coeffs)
+        return self._log_form
+
+    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
+        """Values at an (n, nvars) int64 array of canonical indices.
+
+        Works in the log domain: a term's log is log c + sum e_i log x_i
+        mod (q-1), one matrix product for all points and a block of terms.
+        Terms whose support meets a zero coordinate are zeroed, the rest
+        gathered through exp and summed with vec_sum.  Each points x terms
+        array holds at most _WORK_ELEMS elements.
+        """
+        if points.ndim != 2 or points.shape[1] != self.nvars:
             raise ValueError(f"expected shape (n, {self.nvars})")
-        acc = np.zeros(arr.shape[0], dtype=np.int64)
-        for exps, c in self.terms.items():
-            t = np.full(arr.shape[0], c.index, dtype=np.int64)
-            for i, e in enumerate(exps):
-                if e:
-                    t = f.vec_mul(t, f.vec_pow(arr[:, i], e))
-            acc = f.vec_add(acc, t)
-        return acc
+        f = self.field
+        order = f.q - 1
+        exps, support, log_coeffs = self._log_terms()
+        logs = f._log_arr[points].astype(exps.dtype)
+        zero = points == 0
+        zero = zero.astype(np.float32) if zero.any() else None
+        step = max(1, _WORK_ELEMS // max(1, len(points)))
+        sums = []
+        for lo in range(0, len(log_coeffs), step):
+            hi = lo + step
+            # one points x terms int64 array at a time: term logs, then values
+            zeroed = None if zero is None else zero @ support[:, lo:hi] > 0
+            vals = (logs @ exps[:, lo:hi]).astype(np.int64)
+            vals += log_coeffs[lo:hi]
+            vals -= vals // order * order  # faster than % on int64
+            np.take(f._exp_arr, vals, out=vals)
+            if zeroed is not None:
+                vals[zeroed] = 0
+            sums.append(f.vec_sum(vals))
+        if len(sums) < 2:
+            return sums[0] if sums else np.zeros(len(points), dtype=np.int64)
+        return f.vec_sum(np.stack(sums, axis=-1))
 
     # -- ring operations -------------------------------------------------------------
 
@@ -350,11 +385,11 @@ class SparsePoly:
         f = field if field is not None else parse_field_name(data["field"])
         if f.name != data["field"]:
             raise ValueError(f"field mismatch: {f.name} vs {data['field']}")
-        nvars = int(data["nvars"])
+        nvars = json_int(data["nvars"], "nvars")
         out: dict[Exponents, int] = {}
         for t in data["terms"]:
-            exps = tuple(int(e) for e in t["exps"])
-            c = int(t["coeff"])
+            exps = tuple(json_int(e, "exponent") for e in t["exps"])
+            c = json_int(t["coeff"], "coefficient")
             if not 0 <= c < f.q:
                 raise ValueError(f"coefficient {c} out of range for {f.name}")
             out[exps] = f.add_index(out.get(exps, 0), c)

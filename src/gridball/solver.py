@@ -79,10 +79,12 @@ def indicator_value(system: PolySystem, x: Sequence[FieldElement]) -> FieldEleme
     """g(x) = prod_i (1 - f_i(x)^(q-1)): one at solutions, zero elsewhere."""
     if len(x) != system.nvars:
         raise ValueError(f"point has {len(x)} coordinates, expected {system.nvars}")
-    return FieldElement(system.field, int(_indicator_many(system, [tuple(x)])[0]))
+    row = np.array([[xi.index for xi in x]], dtype=np.int64)
+    return FieldElement(system.field, int(_indicator_many(system, row)[0]))
 
 
-def _indicator_many(system: PolySystem, points) -> np.ndarray:
+def _indicator_many(system: PolySystem, points: np.ndarray) -> np.ndarray:
+    """Indicator values at an (n, nvars) int64 array of canonical indices."""
     # batch form: 1 - v^(q-1) is 1 exactly when v = 0, so g is the product
     # of the per-polynomial zero masks
     polys = system.polys

@@ -16,12 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from gridball.domain import RectangularDomain, enumerate_ball, hamming_distance
+# enumerate_ball is not called here; perfbench/tracer.py patches tester.enumerate_ball
+from gridball.domain import (  # noqa: F401
+    RectangularDomain,
+    ball_chunks,
+    enumerate_ball,
+    hamming_distance,
+)
 from gridball.gf import FieldElement, FieldSpec, max_ratio_order
 from gridball.poly import SparsePoly
 
@@ -66,13 +71,13 @@ class SearchReport:
 class EvaluationOracle:
     """Point-evaluation black box with a declared monomial bound.
 
-    `batch` is the only evaluation route: it maps a sequence of points to an
-    int64 array of canonical value indices.  `poly` is the explicit
-    polynomial behind the oracle, if any; only the degree-bounded radius rule
-    reads it.  The declared bound must be at least the true number of
-    monomials of the underlying polynomial; the radius guarantees are
-    conditional on that.  The counter increases by exactly one per point
-    evaluated.
+    `batch` is the only evaluation route: it maps an (n, nvars) int64 array
+    of canonical point indices to an int64 array of value indices.  `poly`
+    is the explicit polynomial behind the oracle, if any; only the
+    degree-bounded radius rule reads it.  The declared bound must be at
+    least the true number of monomials of the underlying polynomial; the
+    radius guarantees are conditional on that.  The counter increases by
+    exactly one per point evaluated.
     """
 
     def __init__(
@@ -80,7 +85,7 @@ class EvaluationOracle:
         field: FieldSpec,
         nvars: int,
         bound: int,
-        batch: Callable[[Sequence[Point]], np.ndarray],
+        batch: Callable[[np.ndarray], np.ndarray],
         poly: SparsePoly | None = None,
     ):
         if bound < 1:
@@ -104,10 +109,11 @@ class EvaluationOracle:
         return cls(p.field, p.nvars, bound, p.evaluate_many, poly=p)
 
     def evaluate(self, point: Point) -> FieldElement:
-        return FieldElement(self.field, int(self.evaluate_many([tuple(point)])[0]))
+        row = np.array([[x.index for x in point]], dtype=np.int64)
+        return FieldElement(self.field, int(self.evaluate_many(row)[0]))
 
-    def evaluate_many(self, points: Sequence[Point]) -> np.ndarray:
-        """Canonical-index values for a batch of points."""
+    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
+        """Canonical-index values at an (n, nvars) int64 array of points."""
         self.count += len(points)
         return self._batch(points)
 
@@ -188,14 +194,14 @@ def _scan_ball(
 ) -> Point | None:
     """First ball point (in enumeration order) where the oracle is nonzero.
 
-    Points are evaluated in one thread, in fixed-size chunks, so the
-    evaluation count is deterministic: whole chunks up to the witness.
+    The ball is evaluated in one thread, in int64 index chunks of _CHUNK
+    points, so the evaluation count is deterministic: whole chunks up to
+    the witness.  Only the witness is built as FieldElements.
     """
-    stream = enumerate_ball(anchor, radius, domain)
-    while batch := list(islice(stream, _CHUNK)):
-        nz = np.flatnonzero(oracle.evaluate_many(batch))
+    for chunk in ball_chunks(anchor, radius, domain, _CHUNK):
+        nz = np.flatnonzero(oracle.evaluate_many(chunk))
         if nz.size:
-            return batch[int(nz[0])]
+            return tuple(FieldElement(domain.field, i) for i in chunk[nz[0]].tolist())
     return None
 
 

@@ -115,6 +115,38 @@ def test_structurally_wrong_json(capsys, tmp_path, fermat_files):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "kind, blob",
+    [
+        ("poly", {"field": "GF(3)", "nvars": 1, "terms": [{"coeff": 1, "exps": [7.9]}]}),
+        ("poly", {"field": "GF(3)", "nvars": 1, "terms": [{"coeff": True, "exps": [2]}]}),
+        ("poly", {"field": "GF(3)", "nvars": 1.0, "terms": [{"coeff": 1, "exps": [2]}]}),
+        ("domain", {"field": "GF(3)", "sets": [[1, "2"]]}),
+        (
+            "system",
+            {
+                "field": "GF(3)",
+                "polys": [{"nvars": 2, "terms": [{"coeff": 1, "exps": [1, 0]}]}],
+                "domain": {"field": "GF(3)", "sets": [[1, 2], [1, 2]]},
+                "anchor": ["1", 2],
+            },
+        ),
+    ],
+    ids=["exponent-float", "coefficient-bool", "nvars-float", "set-index-string", "anchor-string"],
+)
+def test_inputs_must_be_json_integers(capsys, tmp_path, fermat_files, kind, blob):
+    poly, dom = fermat_files
+    bad = _write(tmp_path / "bad.json", blob)
+    if kind == "system":
+        argv = ["solve-system", "--system", bad]
+    else:
+        argv = ["test-zero", "--poly", bad if kind == "poly" else poly]
+        argv += ["--domain", bad if kind == "domain" else dom]
+    code, report, err = _run(capsys, argv)
+    assert code == 2 and report is None
+    assert err.startswith("error:") and "must be a JSON integer" in err
+
+
 def test_unprintable_report_exits_2(capsys, tmp_path):
     # with M = 64 on GF(2^12) the budget is 2^17028, past the int-to-str digit limit
     poly = _write(

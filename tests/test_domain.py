@@ -1,11 +1,22 @@
 import math
 import random
+import time
+from itertools import combinations, islice, product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridball.domain import RectangularDomain, entropy, enumerate_ball, hamming_distance, vol
+from gridball.domain import (
+    RectangularDomain,
+    ball_chunks,
+    entropy,
+    enumerate_ball,
+    hamming_distance,
+    vol,
+)
+from gridball.gf import make_field
 
 
 def test_construction_normalizes(f5):
@@ -106,6 +117,68 @@ def test_ball_validates_center_and_radius(f5):
         list(enumerate_ball((f5.element(2), f5.one), 1, dom))
     with pytest.raises(ValueError):
         list(enumerate_ball((f5.one, f5.one), -1, dom))
+
+
+def _itertools_ball(center, radius, domain):
+    """The ball order spelled out with itertools, point by point."""
+    n = domain.nvars
+    yield tuple(center)
+    alternatives = [tuple(x for x in domain.sets[i] if x != center[i]) for i in range(n)]
+    for rho in range(1, min(radius, n) + 1):
+        for positions in combinations(range(n), rho):
+            for repl in product(*(alternatives[i] for i in positions)):
+                point = list(center)
+                for i, x in zip(positions, repl):
+                    point[i] = x
+                yield tuple(point)
+
+
+def _random_rectangular_domain(rng, f):
+    # mixed set sizes, singletons, sets with zero, and {0, a_i} coordinates
+    sets = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.random()
+        if kind < 0.2:
+            elems = [rng.randrange(f.q)]
+        elif kind < 0.4:
+            elems = [0, rng.randrange(1, f.q)]
+        else:
+            elems = rng.sample(range(f.q), rng.randint(2, min(f.q, 6)))
+        sets.append([f.element(i) for i in elems])
+    return RectangularDomain(f, sets)
+
+
+@pytest.mark.parametrize("size", [1, 7, 2048])
+def test_ball_chunks_match_itertools_order(size):
+    rng = random.Random(31)
+    for _ in range(40):
+        f = make_field(*rng.choice([(5, 1), (7, 1), (3, 2), (2, 3)]))
+        dom = _random_rectangular_domain(rng, f)
+        center = tuple(rng.choice(a) for a in dom.sets)
+        for radius in range(dom.nvars + 1):
+            chunks = list(ball_chunks(center, radius, dom, size))
+            assert all(len(c) == size for c in chunks[:-1])
+            assert 1 <= len(chunks[-1]) <= size
+            want = [[x.index for x in pt] for pt in _itertools_ball(center, radius, dom)]
+            assert np.concatenate(chunks).tolist() == want
+
+
+def test_ball_chunks_first_chunk_of_a_huge_ball():
+    # 5^40 points: the first chunk must not wait for the rest of the ball
+    f = make_field(5)
+    dom = RectangularDomain.power(f, list(f.elements()), 40)
+    center = (f.one,) * 40
+    start = time.perf_counter()
+    first = next(ball_chunks(center, 40, dom, 2048))
+    assert time.perf_counter() - start < 2.0
+    want = [[x.index for x in pt] for pt in islice(_itertools_ball(center, 40, dom), 2048)]
+    assert first.tolist() == want
+
+
+def test_ball_chunks_validates_size(f5):
+    dom = RectangularDomain.power(f5, [f5.one], 2)
+    with pytest.raises(ValueError):
+        next(ball_chunks((f5.one, f5.one), 1, dom, 0))
 
 
 def test_ball_size_vs_vol(f7):

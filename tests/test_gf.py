@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,18 @@ def test_vec_ops_match_scalar_ops(p, k):
         assert np.array_equal(
             f.vec_pow(a, e), np.array([f.pow_index(x, e) for x in a])
         )
+
+
+@pytest.mark.parametrize("p,k", [(2, 8), (7, 1), (3, 3), (5, 2), (3, 12)])
+def test_vec_sum_matches_scalar_sums(p, k):
+    # GF(3^12) packs 5 bits per digit: past 15 addends vec_sum sums in groups
+    f = make_field(p, k)
+    rs = np.random.RandomState(11)
+    for terms in (0, 1, 15, 16, 40, 300):
+        a = rs.randint(0, f.q, (9, terms))
+        a[0] = f.q - 1  # every digit p - 1, the largest digit sums
+        want = [reduce(f.add_index, row, 0) for row in a.tolist()]
+        assert f.vec_sum(a).tolist() == want
 
 
 def test_pow_index_square_and_multiply(f7):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gridball.poly as poly_module
 from gridball.domain import RectangularDomain
 from gridball.gf import make_field
 from gridball.poly import SparsePoly
@@ -68,12 +69,38 @@ def test_evaluate_against_naive_reference(f9):
         assert p.evaluate(x) == naive_evaluate(p, x)
 
 
-def test_evaluate_many_matches_pointwise(f7):
+@pytest.mark.parametrize("p,k", [(7, 1), (2, 8), (3, 3), (5, 2)])
+@pytest.mark.parametrize("work", [poly_module._WORK_ELEMS, 7], ids=["wide-blocks", "one-term-blocks"])
+def test_evaluate_many_matches_pointwise(p, k, work, monkeypatch):
+    # exponents that fold to 0, 1, q-1 and 4 mod q-1, and one past int64;
+    # points with zero coordinates; with `work` = 7 every term is a block
+    monkeypatch.setattr(poly_module, "_WORK_ELEMS", work)
+    f = make_field(p, k)
     rng = random.Random(5)
-    p = _random_poly(rng, f7, 3, max_terms=8)
-    pts = [tuple(f7.element(rng.randrange(7)) for _ in range(3)) for _ in range(40)]
-    vals = p.evaluate_many(pts)
-    assert vals.tolist() == [p.evaluate(x).index for x in pts]
+    exps = [0, 1, f.q - 1, 2 * (f.q - 1), f.q + 3, 10**30]
+    terms = {}
+    for i in range(3):
+        for e in exps:
+            mono = [rng.choice(exps) for _ in range(3)]
+            mono[i] = e
+            terms[tuple(mono)] = f.element(rng.randrange(1, f.q))
+    poly = SparsePoly(f, 3, terms)
+    pts = [tuple(f.element(rng.choice([0, rng.randrange(f.q)])) for _ in range(3)) for _ in range(60)]
+    pts += [(f.zero,) * 3, (f.one,) * 3]
+    rows = np.array([[x.index for x in pt] for pt in pts], dtype=np.int64)
+    assert poly.evaluate_many(rows).tolist() == [poly.evaluate(x).index for x in pts]
+
+
+def test_evaluate_many_exact_past_float64():
+    # 2^15 variables over GF(3^12), each to the power q-2: the sums of
+    # e_i log x_i pass 2^53, where a float64 product would round
+    f = make_field(3, 12)
+    n = 1 << 15
+    order = f.q - 1
+    poly = SparsePoly(f, n, {(order - 1,) * n: f.element(7)})
+    logs = order - 1 - np.random.default_rng(2).integers(0, 1000, size=(3, n))
+    want = [f._exp[(f._log[7] + (order - 1) * sum(row)) % order] for row in logs.tolist()]
+    assert poly.evaluate_many(f._exp_arr[logs]).tolist() == want
 
 
 def test_evaluate_validates_input(f5, f3):

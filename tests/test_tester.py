@@ -68,7 +68,7 @@ def test_oracle_counts_every_evaluation(f3):
     o = EvaluationOracle.from_poly(p)
     o.evaluate((f3.one, f3.one))
     assert o.count == 1
-    o.evaluate_many([(f3.one, f3.one), (f3.element(2), f3.one)])
+    o.evaluate_many(np.array([[1, 1], [2, 1]], dtype=np.int64))
     assert o.count == 3
 
 
@@ -85,10 +85,17 @@ def test_black_box_oracle_matches_poly(f5):
     p = SparsePoly(f5, 2, {(1, 1): f5.element(2), (0, 0): f5.one})
     # a batch route built from scalar evaluations, hiding the polynomial
     o = EvaluationOracle(
-        f5, 2, 2, lambda pts: np.array([p.evaluate(x).index for x in pts], dtype=np.int64)
+        f5,
+        2,
+        2,
+        lambda rows: np.array(
+            [p.evaluate(tuple(f5.element(i) for i in row)).index for row in rows.tolist()],
+            dtype=np.int64,
+        ),
     )
     pts = [(f5.element(i), f5.element(j)) for i in range(5) for j in range(5)]
-    assert o.evaluate_many(pts).tolist() == [p.evaluate(x).index for x in pts]
+    rows = np.array([[x.index for x in pt] for pt in pts], dtype=np.int64)
+    assert o.evaluate_many(rows).tolist() == [p.evaluate(x).index for x in pts]
     assert [o.evaluate(x) for x in pts] == [p.evaluate(x) for x in pts]
     assert o.count == 2 * len(pts)
 
