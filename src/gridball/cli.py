@@ -327,7 +327,8 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (ValueError, TypeError, KeyError, IndexError, OSError) as exc:
+    # RecursionError: json nesting deeper than the interpreter's stack
+    except (ValueError, TypeError, KeyError, IndexError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(_summary(code, report), file=sys.stderr)

@@ -142,17 +142,17 @@ class SparsePoly:
     def _log_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exponents and supports (nvars x terms) and coefficient logs, built once.
 
-        Each exponent e >= 1 is folded to ((e-1) mod (q-1)) + 1 in Python
-        integers, which keeps x^e for every x, zero included.  The exponents
-        are float64 when every sum of evaluate_many's matrix product stays
-        below 2^53, so the product is exact and runs on BLAS.
+        Each exponent is folded by _fold in Python integers, which keeps x^e
+        for every x, zero included.  The exponents are float64 when every
+        sum of evaluate_many's matrix product stays below 2^53, so the
+        product is exact and runs on BLAS.
         """
         if self._log_form is None:
             f = self.field
             order = f.q - 1
             dtype = np.float64 if self.nvars * order * order < 1 << 53 else np.int64
             exps = np.array(
-                [[(e - 1) % order + 1 if e else 0 for e in ex] for ex in self.terms],
+                [[_fold(e, order) for e in ex] for ex in self.terms],
                 dtype=dtype,
             ).reshape(len(self.terms), self.nvars)
             exps = np.ascontiguousarray(exps.T)
@@ -286,7 +286,9 @@ class SparsePoly:
         Divides by the basis {prod_(a in A_i) (X_i - a)}; because the leading
         monomials X_i^|A_i| are pairwise coprime the remainder is the unique
         polynomial with deg_{X_i} < |A_i| that agrees with self on every
-        point of the domain.
+        point of the domain.  Exponents are folded below q first (see
+        _PowerReduction), so a variable costs O(q * |A_i|) field operations
+        however large its exponents are.
         """
         if domain.field is not self.field:
             raise ValueError("domain over a different field")
@@ -396,11 +398,22 @@ class SparsePoly:
         return cls(f, nvars, {e: FieldElement(f, v) for e, v in out.items()})
 
 
+def _fold(e: int, order: int) -> int:
+    """The exponent in [0, order] with x^_fold(e) = x^e for every field x.
+
+    order is q - 1.  A multiple of q - 1 folds to q - 1, never to 0, since
+    0^(q-1) = 0 but 0^0 = 1.
+    """
+    return (e - 1) % order + 1 if e else 0
+
+
 class _PowerReduction:
     """Reduction of univariate powers X^e modulo prod_(a in A) (X - a).
 
     rep(e) is the dense coefficient-index vector (length |A|) of the normal
-    form of X^e; vectors are built incrementally and cached.
+    form of X^e.  It folds e first, since X^e and X^_fold(e) agree on the
+    whole field, then steps X^|A|, X^(|A|+1), .. up to the folded exponent
+    and caches every step, so the cache never holds more than q vectors.
     """
 
     def __init__(self, field: FieldSpec, elems: Sequence[FieldElement]):
@@ -427,6 +440,7 @@ class _PowerReduction:
     def rep(self, e: int) -> list[int]:
         f = self.field
         d = self.d
+        e = _fold(e, f.q - 1)
         while len(self._cache) <= e:
             prev = self._cache[-1]
             top = prev[d - 1]

@@ -206,6 +206,39 @@ def test_reduce_worked_example(capsys, f4_files):
     assert "1 -> 4" in err
 
 
+def test_reduce_hostile_exponent(capsys, tmp_path):
+    # X1^(10^9) steps only to its folded exponent: this returns at once
+    from gridball.poly import _fold
+
+    dom_data = {"field": "GF(7)", "sets": [[0, 2, 3, 5], [1, 4]]}
+    dom = _write(tmp_path / "d7.json", dom_data)
+
+    def poly(e):
+        terms = [{"coeff": 3, "exps": [e, 1]}, {"coeff": 1, "exps": [2, 5]}]
+        return {"field": "GF(7)", "nvars": 2, "terms": terms}
+
+    path = _write(tmp_path / "huge.json", poly(10**9))
+    code, report, _ = _run(capsys, ["reduce", "--poly", path, "--domain", dom])
+    assert code == 0
+    want = SparsePoly.from_json_dict(poly(_fold(10**9, 6))).reduce_mod_domain(
+        RectangularDomain.from_json_dict(dom_data)
+    )
+    assert report["reduced"]["poly"] == want.to_json_dict()
+    assert report["input"]["poly"]["terms"][1]["exps"] == [10**9, 1]
+
+
+@pytest.mark.parametrize("kind", ["poly", "domain"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, fermat_files, kind):
+    poly, dom = fermat_files
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"sets": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    argv = ["reduce", "--poly", str(deep) if kind == "poly" else poly]
+    argv += ["--domain", str(deep) if kind == "domain" else dom]
+    code, report, err = _run(capsys, argv)
+    assert code == 2 and report is None
+    assert err.startswith("error:")
+
+
 @pytest.fixture
 def system_file(tmp_path):
     return _write(

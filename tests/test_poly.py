@@ -259,6 +259,37 @@ def test_reduce_mod_domain_agreement_on_4096_point_grid(f9):
     assert all(r.degree_in_variable(i) < 8 for i in range(4))
 
 
+@pytest.mark.parametrize("with_zero", [True, False], ids=["set-with-0", "set-without-0"])
+@pytest.mark.parametrize("p,k", [(7, 1), (2, 8), (3, 3), (5, 2)])
+def test_reduce_mod_domain_folds_exponents(p, k, with_zero):
+    # X^e for exponents at and past every fold boundary, one past int64;
+    # q-1 and 2(q-1) must fold to q-1, not 0, on a set that holds 0
+    from gridball import brute
+
+    f = make_field(p, k)
+    rng = random.Random(17)
+    nonzero = rng.sample(range(1, f.q), 4)
+    a = [f.element(i) for i in ([0] + nonzero[:3] if with_zero else nonzero)]
+    b = [f.element(i) for i in rng.sample(range(f.q), 3)]
+    dom = RectangularDomain(f, [a, b])
+    order = f.q - 1
+    exps = [0, 1, len(a) - 1, len(a), f.q - 2, order, f.q, 2 * order, 2 * order + 1, 10**30]
+    for e in exps:
+        x_e = SparsePoly.monomial(f, (e, 0), f.one)
+        r = x_e.reduce_mod_domain(dom)
+        folded = SparsePoly.monomial(f, (poly_module._fold(e, order), 0), f.one)
+        assert r == folded.reduce_mod_domain(dom), e
+        assert (brute.evaluate_on_grid(r, dom) == brute.evaluate_on_grid(x_e, dom)).all(), e
+    terms = {(ea, eb): f.element(rng.randrange(1, f.q)) for ea in exps for eb in exps[::3]}
+    poly = SparsePoly(f, 2, terms)
+    r = poly.reduce_mod_domain(dom)
+    assert (brute.evaluate_on_grid(r, dom) == brute.evaluate_on_grid(poly, dom)).all()
+    assert r.degree_in_variable(0) < len(a) and r.degree_in_variable(1) < len(b)
+    power = poly_module._PowerReduction(f, a)
+    power.rep(10**30)
+    assert len(power._cache) <= f.q
+
+
 def test_reduce_mod_domain_validates(f5, f7):
     dom = RectangularDomain(f7, [[f7.one]])
     with pytest.raises(ValueError):
