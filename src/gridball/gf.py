@@ -206,16 +206,18 @@ class FieldSpec:
         "_exp_arr",
         "_log_arr",
         "_packed_arr",
+        "_exp_addends",
     )
 
     def __init__(self, p: int, k: int):
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
         if k < 1:
             raise ValueError(f"extension degree must be >= 1, got {k}")
+        # the cap comes first: a huge p stalls is_prime, and a huge k p**k
+        if p > MAX_ORDER or k >= MAX_ORDER.bit_length() or p**k > MAX_ORDER:
+            raise ValueError(f"field order {p}^{k} exceeds cap {MAX_ORDER}")
+        if not is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
         q = p**k
-        if q > MAX_ORDER:
-            raise ValueError(f"field order {q} exceeds cap {MAX_ORDER}")
         self.p = p
         self.k = k
         self.q = q
@@ -263,8 +265,10 @@ class FieldSpec:
         if p > 2 and k > 1:
             index = np.arange(q, dtype=np.int64)
             self._packed_arr = sum((index // p**j % p) << (63 // k * j) for j in range(k))
+            self._exp_addends = self._packed_arr[exp]
         else:
             self._packed_arr = None
+            self._exp_addends = exp
         if q <= _ADD_TABLE_LIMIT:
             self._add_table = [
                 [self._add_slow(a, b) for b in range(q)] for a in range(q)
@@ -349,6 +353,15 @@ class FieldSpec:
 
     def vec_sum(self, a: np.ndarray) -> np.ndarray:
         """Field sum of an index array along its last axis."""
+        return self.sum_addends(a if self._packed_arr is None else self._packed_arr[a])
+
+    def sum_addends(self, a: np.ndarray) -> np.ndarray:
+        """Field sum along the last axis of addends, indices of the sum.
+
+        Addends are indices mapped through _packed_arr when the field has
+        one (odd p, k > 1), else the indices themselves; _exp_addends is
+        the exp table in that form, and 0 is the zero addend either way.
+        """
         if self.p == 2:
             return np.bitwise_xor.reduce(a, axis=-1)
         if self.k == 1:
@@ -361,8 +374,8 @@ class FieldSpec:
         if n > group:
             padded = np.zeros(a.shape[:-1] + (n + -n % group,), dtype=np.int64)
             padded[..., :n] = a
-            return self.vec_sum(self.vec_sum(padded.reshape(a.shape[:-1] + (-1, group))))
-        sums = self._packed_arr[a].sum(axis=-1)
+            return self.vec_sum(self.sum_addends(padded.reshape(a.shape[:-1] + (-1, group))))
+        sums = a.sum(axis=-1)
         out = np.zeros(sums.shape, dtype=np.int64)
         for j in range(self.k):
             out += (sums >> (width * j) & ((1 << width) - 1)) % self.p * self.p**j
@@ -431,7 +444,13 @@ def json_int(value: object, what: str) -> int:
 
 
 def parse_field_name(name: str) -> FieldSpec:
-    """Parse "GF(q)" or "GF(p^k)" into a field, factoring q when needed."""
+    """Parse "GF(q)" or "GF(p^k)" into a field, factoring q when needed.
+
+    Anything else, a non-string included, raises ValueError, and so does an
+    order past MAX_ORDER, before any factoring or power is computed.
+    """
+    if not isinstance(name, str):
+        raise ValueError(f"field must be a string GF(q) or GF(p^k), got {type(name).__name__}")
     s = name.strip()
     if not (s.startswith("GF(") and s.endswith(")")):
         raise ValueError(f"bad field name {name!r}, expected GF(q) or GF(p^k)")
@@ -441,6 +460,8 @@ def parse_field_name(name: str) -> FieldSpec:
         p, k = int(ps), int(ks)
     else:
         q = int(body)
+        if q > MAX_ORDER:
+            raise ValueError(f"field order {q} exceeds cap {MAX_ORDER}")
         facs = _prime_factors(q)
         if len(facs) != 1:
             raise ValueError(f"{q} is not a prime power")

@@ -1,4 +1,6 @@
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -237,6 +239,30 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path, fermat_files, kind):
     code, report, err = _run(capsys, argv)
     assert code == 2 and report is None
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("field", [123, None])
+@pytest.mark.parametrize("kind", ["poly", "domain"])
+def test_non_string_field_exits_2(capsys, tmp_path, fermat_files, kind, field):
+    poly, dom = fermat_files
+    blob = json.loads(Path(poly if kind == "poly" else dom).read_text())
+    bad = _write(tmp_path / "bad.json", {**blob, "field": field})
+    argv = ["test-zero", "--poly", bad if kind == "poly" else poly]
+    argv += ["--domain", bad if kind == "domain" else dom]
+    code, report, err = _run(capsys, argv)
+    assert code == 2 and report is None
+    assert err.startswith("error:") and "must be a string" in err
+
+
+@pytest.mark.parametrize("field", ["GF(2305843009213693951)", "GF(3^50000000)"])
+def test_huge_field_order_exits_2_fast(capsys, tmp_path, field):
+    poly = _write(tmp_path / "p.json", {"field": field, "nvars": 1, "terms": []})
+    dom = _write(tmp_path / "d.json", {"field": field, "sets": [[1]]})
+    start = time.perf_counter()
+    code, report, err = _run(capsys, ["test-zero", "--poly", poly, "--domain", dom])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and report is None
+    assert err.startswith("error:") and "exceeds cap" in err
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
+import time
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridball.gf import (
     FieldSpec,
@@ -70,6 +73,64 @@ def test_parse_field_name():
     for bad in ("GF(6)", "GF(12)", "F(4)", "GF()"):
         with pytest.raises(ValueError):
             parse_field_name(bad)
+
+
+@pytest.mark.parametrize("name", [123, None, 1.5, True, ["GF(3)"], {"GF": 3}])
+def test_parse_field_name_rejects_non_strings(name):
+    with pytest.raises(ValueError, match="must be a string"):
+        parse_field_name(name)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: parse_field_name("GF(2305843009213693951)"),  # 2^61 - 1, a prime
+        lambda: parse_field_name("GF(2305843009213693951^1)"),
+        lambda: parse_field_name("GF(3^50000000)"),
+        lambda: make_field(2**61 - 1),
+        lambda: make_field(3, 50_000_000),
+    ],
+    ids=["prime-order", "prime-power-1", "huge-exponent", "make-prime", "make-exponent"],
+)
+def test_huge_orders_fail_before_factoring(make):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds cap"):
+        make()
+    assert time.perf_counter() - start < 1.0
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# orders at or past the cap; every legal field below builds in well under
+# a second (GF(2^20), the slowest, is left out)
+_HUGE = st.integers(2**20 - 8, 10**30) | st.sampled_from([2**61 - 1, 3**13, 10**4000])
+_FIELD_NAMES = st.one_of(
+    _JSON,
+    st.builds("GF({})".format, _HUGE),
+    st.builds("GF({}^{})".format, st.integers(-3, 13), _HUGE),
+    st.builds("GF({}^{})".format, _HUGE, st.integers(-3, 3)),
+    st.builds(" GF( {}^{} ) ".format, st.integers(-3, 13), st.integers(-3, 6)),
+    st.text(alphabet="GF()^0123456789- ", max_size=12),
+)
+
+
+@given(_FIELD_NAMES)
+@settings(deadline=None, max_examples=300)
+def test_field_names_yield_a_field_or_value_error(name):
+    # whatever JSON value sits in "field": a field or ValueError, fast
+    start = time.perf_counter()
+    try:
+        f = parse_field_name(name)
+    except ValueError:
+        pass
+    else:
+        assert isinstance(f, FieldSpec) and f.q <= 2**20
+        assert parse_field_name(f.name) is f
+    assert time.perf_counter() - start < 2.0
 
 
 def test_element_arithmetic(f5):
@@ -203,6 +264,9 @@ def test_vec_sum_matches_scalar_sums(p, k):
         a[0] = f.q - 1  # every digit p - 1, the largest digit sums
         want = [reduce(f.add_index, row, 0) for row in a.tolist()]
         assert f.vec_sum(a).tolist() == want
+        # the same sums from the exp table in addend form, zero addends for 0
+        addends = np.where(a == 0, 0, f._exp_addends[f._log_arr[a] % (f.q - 1)])
+        assert f.sum_addends(addends).tolist() == want
 
 
 def test_pow_index_square_and_multiply(f7):

@@ -1,13 +1,15 @@
 import math
 import random
+import time
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridball import brute
-from gridball.domain import RectangularDomain, hamming_distance
+from gridball import brute, tester
+from gridball.domain import RectangularDomain, enumerate_ball, hamming_distance, vol
 from gridball.gf import make_field
 from gridball.poly import SparsePoly
 from gridball.tester import (
@@ -320,3 +322,127 @@ def test_find_nonzero_degree_rule_on_zero_containing_domain(f5):
         assert rep.theorem == "degree-bounded"
         expected = brute.nearest_nonzero_distance(p, dom, anchor)
         assert rep.distance == expected
+
+
+# -- shell-tensor scan against the row path --------------------------------------
+
+
+def _both_routes(monkeypatch, p, dom, anchor, radius):
+    """(witness, count) from from_poly's oracle, which must take _scan_shells,
+    and from a black box wrapping the same evaluate_many, which cannot."""
+    calls = []
+    shells = tester._scan_shells
+    monkeypatch.setattr(tester, "_scan_shells", lambda *a: calls.append(a) or shells(*a))
+    explicit = EvaluationOracle.from_poly(p)
+    got = tester._scan_ball(explicit, dom, anchor, radius)
+    assert len(calls) == 1
+    box = EvaluationOracle(p.field, p.nvars, explicit.bound, lambda rows: p.evaluate_many(rows))
+    want = tester._scan_ball(box, dom, anchor, radius)
+    assert len(calls) == 1
+    return (got, explicit.count), (want, box.count)
+
+
+def _uniform_instance(rng, f, n):
+    """A domain whose movable coordinates share a radix r, an anchor, and a
+    polynomial with exponents 0, 1, q-1, q and 2q+1, often made to vanish
+    near the anchor or on the whole domain."""
+    r = rng.randint(1, min(4, f.q - 1))
+    sets = []
+    for _ in range(n):
+        if rng.random() < 0.2:
+            sets.append(rng.sample(range(f.q), 1))
+        elif r == 1 and rng.random() < 0.5:
+            sets.append([0, rng.randrange(1, f.q)])
+        else:
+            sets.append(rng.sample(range(f.q), r + 1))  # 0 included at times
+    dom = RectangularDomain(f, [[f.element(i) for i in a] for a in sets])
+    anchor = tuple(f.element(rng.choice(a)) for a in sets)
+    powers = [0, 1, f.q - 1, f.q, 2 * f.q + 1]
+    terms = {
+        tuple(rng.choice(powers) for _ in range(n)): f.element(rng.randrange(1, f.q))
+        for _ in range(rng.randint(1, 5))
+    }
+    p = SparsePoly(f, n, terms)
+    for i in rng.sample(range(n), rng.randint(0, min(n, 3))):
+        # vanish where x_i is unchanged, pushing the witness outward
+        p = p * (SparsePoly.variable(f, n, i) - SparsePoly.constant(f, n, anchor[i]))
+    if rng.random() < 0.15:
+        i = rng.randrange(n)
+        for a in dom.sets[i]:
+            p = p * (SparsePoly.variable(f, n, i) - SparsePoly.constant(f, n, a))
+    return p, dom, anchor
+
+
+@pytest.mark.parametrize(
+    "work, tile", [(1 << 16, 1 << 18), (40, 0)], ids=["wide-blocks", "split-subsets-mod"]
+)
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2), (2, 3), (3, 3)])
+def test_shell_scan_matches_row_scan(monkeypatch, p, k, work, tile):
+    # a 40-element block splits every subset of more than 40 // terms points
+    # on its leading digits; with no tiled exp table the logs are reduced
+    monkeypatch.setattr(tester, "_WORK_ELEMS", work)
+    monkeypatch.setattr(tester, "_TILE_ELEMS", tile)
+    f = make_field(p, k)
+    rng = random.Random(f"shells/{p}/{k}")
+    found = 0
+    for _ in range(25):
+        poly, dom, anchor = _uniform_instance(rng, f, rng.randint(1, 5))
+        if poly.monomial_count() > work:
+            continue
+        for radius in range(dom.nvars + 1):
+            (got, count), (want, box_count) = _both_routes(monkeypatch, poly, dom, anchor, radius)
+            assert got == want
+            assert count == box_count
+            found += got is not None
+    assert found
+
+
+@pytest.mark.parametrize("rank", [2047, 2048, 2049])
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 3)])
+def test_shell_scan_bills_whole_chunks(monkeypatch, p, k, rank):
+    # 3^8 points, two alternatives per coordinate; the polynomial's first
+    # nonzero in ball order is the point of the given rank: it vanishes
+    # where a coordinate the point changes is unchanged or takes an
+    # earlier alternative
+    f = make_field(p, k)
+    rng = random.Random(rank)
+    n = 8
+    sets = [[f.element(i) for i in rng.sample(range(f.q), 3)] for _ in range(n)]
+    dom = RectangularDomain(f, sets)
+    anchor = tuple(rng.choice(a) for a in dom.sets)
+    target = next(islice(enumerate_ball(anchor, n, dom), rank, None))
+    poly = SparsePoly.one(f, n)
+    for i, (a, c, x) in enumerate(zip(dom.sets, anchor, target)):
+        if x != c:
+            alternatives = [y for y in a if y != c]
+            for y in [c] + alternatives[: alternatives.index(x)]:
+                poly = poly * (SparsePoly.variable(f, n, i) - SparsePoly.constant(f, n, y))
+    (got, count), (want, box_count) = _both_routes(monkeypatch, poly, dom, anchor, n)
+    assert got == want == target
+    assert count == box_count == 2048 * -(-(rank + 1) // 2048)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (7, 1), (3, 3)])
+def test_shell_scan_of_the_zero_polynomial(monkeypatch, p, k):
+    # no terms at all: every point is evaluated and none is nonzero
+    f = make_field(p, k)
+    dom = RectangularDomain.power(f, list(f.elements())[: min(f.q, 3)], 4)
+    poly = SparsePoly.zero(f, 4)
+    (got, count), (want, box_count) = _both_routes(monkeypatch, poly, dom, dom.sets[0][:1] * 4, 3)
+    assert got is want is None
+    assert count == box_count == vol(min(f.q, 3), 4, 3)
+
+
+def test_shell_scan_of_a_huge_ball_stops_at_its_witness(monkeypatch):
+    # 5^40 points, 0 in every set; X_j - c_j is first nonzero at distance 1
+    f = make_field(5)
+    n, j = 40, 17
+    dom = RectangularDomain.power(f, list(f.elements()), n)
+    rng = random.Random(40)
+    anchor = tuple(f.element(rng.randrange(f.q)) for _ in range(n))
+    poly = SparsePoly.variable(f, n, j) - SparsePoly.constant(f, n, anchor[j])
+    start = time.perf_counter()
+    (got, count), (want, box_count) = _both_routes(monkeypatch, poly, dom, anchor, n)
+    assert time.perf_counter() - start < 2.0
+    assert got == want and hamming_distance(got, anchor) == 1
+    assert count == box_count == 2048 < vol(5, n, n)
