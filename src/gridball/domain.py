@@ -3,7 +3,9 @@
 A rectangular domain is a product A_1 x .. x A_N of nonempty subsets of a
 finite field, one per coordinate.  Domains are immutable.  A Hamming ball
 comes as int64 arrays of canonical indices, in fixed-size chunks
-(ball_chunks), or as FieldElement tuples in the same order (enumerate_ball).
+(ball_chunks), or as FieldElement tuples in the same order (enumerate_ball);
+when every movable coordinate has the same number of alternatives, also as
+product sub-grids in that order (shell_pieces, piece_sums, piece_point).
 
 JSON format: {"field": "GF(p^k)", "sets": [[indices], ..]}.
 """
@@ -109,6 +111,12 @@ def hamming_distance(a: Sequence, b: Sequence) -> int:
     return sum(1 for x, y in zip(a, b) if x != y)
 
 
+def alternatives(center: Sequence[FieldElement], domain: RectangularDomain) -> list[list[int]]:
+    """Per coordinate, the indices of the set's values other than the
+    center's, in canonical order: the replacement values of a ball."""
+    return [[x.index for x in a if x != c] for a, c in zip(domain.sets, center)]
+
+
 def ball_chunks(
     center: Sequence[FieldElement], radius: int, domain: RectangularDomain, size: int
 ) -> Iterator[np.ndarray]:
@@ -118,7 +126,9 @@ def ball_chunks(
     shorter, with each point exactly once.  Order: radius 0 first, then
     radius 1, and so on; within a radius, changed-position subsets in
     lexicographic order and replacement values in canonical element order,
-    the last changed position fastest.
+    the last changed position fastest.  shell_pieces gives the same order
+    as sub-grids when every movable coordinate has the same number of
+    alternatives; the shell scan in tester relies on the two agreeing.
 
     A shell is built by decoding point ranks.  Its position subsets come in
     batches of at most `size`; np.searchsorted over their cumulative point
@@ -137,15 +147,15 @@ def ball_chunks(
         raise ValueError("center is not a point of the domain")
     n = domain.nvars
     base = np.array([x.index for x in center], dtype=np.int64)
-    alternatives = [[x.index for x in a if x != c] for a, c in zip(domain.sets, center)]
-    radix = np.array([len(a) for a in alternatives], dtype=np.int64)
+    alts = alternatives(center, domain)
+    radix = np.array([len(a) for a in alts], dtype=np.int64)
     width = max(1, max(radix, default=0))
     table = np.zeros((n, width), dtype=np.int64)
-    for i, a in enumerate(alternatives):
+    for i, a in enumerate(alts):
         table[i, : len(a)] = a
     flat_table = table.reshape(-1)
     # a subset that contains a single-valued coordinate has no points
-    movable = [i for i in range(n) if alternatives[i]]
+    movable = [i for i in range(n) if alts[i]]
 
     def points(pos: np.ndarray, rank: np.ndarray, start: Sequence[int]) -> np.ndarray:
         # rows of the points whose changed positions are pos ((m, rho), a
@@ -211,6 +221,75 @@ def ball_chunks(
                 filled = 0
     if filled:
         yield chunk[:filled]
+
+
+def shell_pieces(m: int, r: int, radius: int, block: int) -> Iterator[tuple[np.ndarray, tuple]]:
+    """The ball's sub-grids in ball_chunks order, at most `block` points each.
+
+    For m movable coordinates with r alternatives each, and r <= block.  A
+    piece is (pos, lead): a (subsets, rho) array of changed positions (0..m-1,
+    in lexicographic order), and the replacement digits fixed for their
+    leading positions; its points run over the rows of pos, then over the
+    remaining digits with the last position fastest.  Whole subsets are
+    batched while their points (r^rho each) and their digit choices
+    (rho * r each) fit a block, one subset at least; a subset of more
+    points is split on its leading digits, iterated lazily.
+    """
+    yield np.zeros((1, 0), dtype=np.int64), ()
+    for rho in range(1, min(radius, m) + 1):
+        subsets = combinations(range(m), rho)
+        if r**rho <= block:
+            while batch := list(islice(subsets, max(1, block // max(r**rho, rho * r)))):
+                yield np.array(batch, dtype=np.int64), ()
+            continue
+        tail = 0
+        while r ** (tail + 1) <= block:
+            tail += 1
+        for s in subsets:
+            pos = np.array([s], dtype=np.int64)
+            for lead in product(range(r), repeat=rho - tail):
+                yield pos, lead
+
+
+def piece_sums(
+    factor: np.ndarray,
+    table: np.ndarray,
+    start: np.ndarray,
+    pos: np.ndarray,
+    lead: np.ndarray,
+    mod: int | None = None,
+) -> np.ndarray:
+    """(terms, points) sums start + sum_j factor[:, p_j] * table[p_j, digit_j]
+    over the points of a shell_pieces piece (pos, lead), in ball order.
+
+    factor is (terms, positions) and table (positions, r); each product is
+    reduced mod `mod` when one is given.  The steps are built for the
+    piece's own positions only, so they fit the piece's block.  The lead
+    digits add one sum per term; each tail position then puts its r values
+    outside the sums built so far, which leaves the last position fastest.
+    """
+    def steps(cols: np.ndarray, digits: np.ndarray) -> np.ndarray:
+        out = factor[:, cols] * table[cols, digits]
+        return out if mod is None else out % mod
+
+    nlead = len(lead)
+    tail = pos[:, nlead:, None]
+    # (terms, subsets, tail positions, r): every step of the piece at once
+    tail_steps = steps(tail, np.arange(table.shape[1]))
+    out = (start + steps(pos[0, :nlead], lead).sum(axis=1))[:, None, None]
+    for j in range(tail.shape[1] - 1, -1, -1):
+        out = np.add(tail_steps[:, :, j, :, None], out[:, :, None, :], order="C")
+        out = out.reshape(*out.shape[:2], out.shape[2] * out.shape[3])
+    return out.reshape(len(start), out.shape[1] * out.shape[2])
+
+
+def piece_point(pos: np.ndarray, lead: np.ndarray, r: int, k: int) -> tuple[list, list]:
+    """Changed positions and replacement digits of the k-th point of a
+    shell_pieces piece (pos, lead) with r alternatives per position."""
+    tail = pos.shape[1] - len(lead)
+    sub, rank = divmod(k, r**tail)
+    digits = [int(d) for d in np.unravel_index(rank, (r,) * tail)]
+    return pos[sub].tolist(), [int(d) for d in lead] + digits
 
 
 def enumerate_ball(

@@ -16,17 +16,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice, product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
 # enumerate_ball is not called here; perfbench/tracer.py patches tester.enumerate_ball
 from gridball.domain import (  # noqa: F401
     RectangularDomain,
+    alternatives,
     ball_chunks,
     enumerate_ball,
     hamming_distance,
+    piece_point,
+    piece_sums,
+    shell_pieces,
     vol,
 )
 from gridball.gf import FieldElement, FieldSpec, max_ratio_order
@@ -35,9 +38,6 @@ from gridball.poly import _WORK_ELEMS, SparsePoly
 Point = tuple[FieldElement, ...]
 
 _CHUNK = 2048
-
-# largest exp table tiled to replace the mod (q-1) in _scan_shells
-_TILE_ELEMS = 1 << 18
 
 RULE_RATIO_ORDER = "ratio-order"
 RULE_DEGREE_BOUNDED = "degree-bounded"
@@ -202,23 +202,24 @@ def _scan_ball(
     The evaluation count is that of a scan in int64 index chunks of _CHUNK
     points: whole chunks up to the witness, so it is deterministic.  An
     oracle built from its polynomial on a domain whose movable coordinates
-    all have the same number of alternatives is scanned by _scan_shells;
-    every other oracle gets the chunks from ball_chunks.  Only the witness
-    is built as FieldElements.
+    all have the same number r of alternatives, with r * terms at most
+    _WORK_ELEMS, is scanned by _scan_shells; every other oracle gets the
+    chunks from ball_chunks.  Only the witness is built as FieldElements.
     """
     poly = oracle.poly
-    alternatives = [[x.index for x in a if x != c] for a, c in zip(domain.sets, anchor)]
-    movable = [a for a in alternatives if a]
+    alts = alternatives(anchor, domain)
+    radix = {len(a) for a in alts if a}
     if (
         poly is not None
         and oracle._batch == poly.evaluate_many
-        and len({len(a) for a in movable}) <= 1
-        and len(poly.terms) <= _WORK_ELEMS
+        and len(radix) <= 1
+        and max(radix, default=1) * max(1, len(poly.terms)) <= _WORK_ELEMS
     ):
-        witness, scanned = _scan_shells(poly, anchor, alternatives, radius)
+        witness, scanned = _scan_shells(poly, anchor, alts, radius)
         if witness is not None:
             # whole chunks up to the witness, the last one short at the ball's end
-            volume = vol(len(movable[0]) + 1 if movable else 1, len(movable), radius)
+            movable = len([a for a in alts if a])
+            volume = vol(max(radix, default=0) + 1, movable, radius)
             scanned = min(volume, -(-scanned // _CHUNK) * _CHUNK)
         oracle.count += scanned
         return witness
@@ -229,108 +230,61 @@ def _scan_ball(
     return None
 
 
-def _shell_pieces(m: int, r: int, radius: int, block: int) -> Iterator[tuple[np.ndarray, tuple]]:
-    """The ball's sub-grids in ball_chunks order, at most `block` points each.
-
-    A piece is (pos, lead): a (subsets, rho) array of changed positions,
-    in lexicographic order, and the replacement digits fixed for their
-    leading positions.  Whole subsets are batched while they fit a block;
-    a larger one is split on its leading digits, iterated lazily.
-    """
-    yield np.zeros((1, 0), dtype=np.int64), ()
-    for rho in range(1, min(radius, m) + 1):
-        subsets = combinations(range(m), rho)
-        if r**rho <= block:
-            while batch := list(islice(subsets, block // r**rho)):
-                yield np.array(batch, dtype=np.int64), ()
-            continue
-        tail = 0
-        while r ** (tail + 1) <= block:
-            tail += 1
-        for s in subsets:
-            pos = np.array([s], dtype=np.int64)
-            for lead in product(range(r), repeat=rho - tail):
-                yield pos, lead
-
-
-def _outer_sums(table: np.ndarray, start: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """(terms, points) sums start + sum_j table[:, pos[:, j], digit_j].
-
-    table is (terms, positions, r) and start (terms,).  The points run over
-    the rows of pos, then over the digits with the last position fastest:
-    each step puts one position's r values outside the sums built so far.
-    """
-    out = start[:, None, None]
-    for j in range(pos.shape[1] - 1, -1, -1):
-        out = np.add(table[:, pos[:, j], :, None], out[:, :, None, :], order="C")
-        out = out.reshape(*out.shape[:2], out.shape[2] * out.shape[3])
-    return out.reshape(len(start), out.shape[1] * out.shape[2])
-
-
 def _scan_shells(
-    poly: SparsePoly, anchor: Point, alternatives: list[list[int]], radius: int
+    poly: SparsePoly, anchor: Point, alts: list[list[int]], radius: int
 ) -> tuple[Point | None, int]:
     """First nonzero of the polynomial on the ball, and the points up to it.
 
     Every movable coordinate (one with alternatives) must have the same
-    number r of them.  The points whose changed positions are a subset P
-    form a product grid, on which a term's log is an outer sum of
-    per-coordinate deltas: log t(x) = log t(c) + sum_(i in P)
-    e_ti (log x_i - log c_i) mod (q-1).  Zeros are counted apart: a term
-    vanishes where its count of zero support coordinates is positive.
-    Returns (witness, its ball rank + 1) or (None, ball volume).
+    number r of them, and r * terms must be at most _WORK_ELEMS.  The
+    points whose changed positions are a subset P form a product grid, on
+    which a term's log is an outer sum of per-coordinate steps:
+    log t(x) = log t(c) + sum_(i in P) e_ti (log x_i - log c_i) mod (q-1).
+    Zeros are counted apart: a term vanishes where its count of zero
+    support coordinates is positive.  Returns (witness, its ball rank + 1)
+    or (None, ball volume).
     """
     f = poly.field
     order = f.q - 1
     log = f._log_arr  # log[0] = 0 stands in for the undefined log of zero
     exps, _, log_coeffs = poly._log_terms()
     e = exps.astype(np.int64)
-    movable = [i for i, a in enumerate(alternatives) if a]
+    movable = [i for i, a in enumerate(alts) if a]
     m = len(movable)
-    r = len(alternatives[movable[0]]) if movable else 1
+    r = len(alts[movable[0]]) if movable else 1
     c = np.array([x.index for x in anchor], dtype=np.int64)
-    alt = np.array([alternatives[i] for i in movable], dtype=np.int64).reshape(m, r)
-    cm, em = c[movable], e[movable]
-
-    def terms_first(table: np.ndarray) -> np.ndarray:
-        # (positions, r, terms) -> (terms, positions, r)
-        return np.ascontiguousarray(table.transpose(2, 0, 1))
-
-    # per term: log of its value at the anchor, and log steps (terms, m, r)
+    alt = np.array([alts[i] for i in movable], dtype=np.int64).reshape(m, r)
+    cm = c[movable]
+    em = np.ascontiguousarray(e[movable].T)  # (terms, m)
+    # per term, the log of its value at the anchor; per position, the log
+    # steps to its alternatives
     base = (log_coeffs + (log[c][:, None] * e % order).sum(axis=0)) % order
-    delta = terms_first(em[:, None, :] * (log[alt] - log[cm][:, None])[:, :, None] % order)
+    dlog = (log[alt] - log[cm][:, None]) % order
     zeros = None
     if (c == 0).any() or (alt == 0).any():
-        # per term: zero support coordinates at the anchor, and their steps
-        support = (e > 0).astype(np.int64)
-        steps = (alt == 0).astype(np.int64) - (cm == 0)[:, None]
-        zeros = ((c == 0) @ support, terms_first(support[movable][:, None, :] * steps[:, :, None]))
-    # the anchor's log and rho steps sum below (rho + 1)(q - 1), so an exp
-    # table tiled that many times needs no mod
-    copies = min(radius, m) + 1
+        # per term, zero support coordinates at the anchor; per position,
+        # the change in that count at each alternative
+        support = e > 0
+        zeros = (
+            (c == 0) @ support.astype(np.int64),
+            np.ascontiguousarray(support[movable].T),
+            (alt == 0).astype(np.int64) - (cm == 0)[:, None],
+        )
     exp = f._exp_addends
-    tiled = np.tile(exp, copies) if copies * order <= _TILE_ELEMS else None
     done = 0
-    for pos, lead in _shell_pieces(m, r, radius, _WORK_ELEMS // max(1, len(log_coeffs))):
-        fixed, tail = pos[0, : len(lead)], pos[:, len(lead) :]
+    for pos, lead in shell_pieces(m, r, radius, _WORK_ELEMS // max(1, len(log_coeffs))):
         lead = np.array(lead, dtype=np.int64)
-        vals = _outer_sums(delta, base + delta[:, fixed, lead].sum(axis=1), tail)
+        vals = piece_sums(em, dlog, base, pos, lead, order)
+        vals -= vals // order * order  # faster than % on int64
         # indices are in range, and mode="clip" keeps take from buffering
-        if tiled is not None:
-            np.take(tiled, vals, out=vals, mode="clip")
-        else:
-            vals %= order
-            np.take(exp, vals, out=vals, mode="clip")
+        np.take(exp, vals, out=vals, mode="clip")
         if zeros is not None:
-            z0, zd = zeros
-            vals[_outer_sums(zd, z0 + zd[:, fixed, lead].sum(axis=1), tail) > 0] = 0
+            vals[piece_sums(zeros[1], zeros[2], zeros[0], pos, lead) > 0] = 0
         nz = np.flatnonzero(f.sum_addends(vals.T))
         if nz.size:
-            sub, rank = divmod(int(nz[0]), r ** tail.shape[1])
-            digits = lead.tolist() + [int(d) for d in np.unravel_index(rank, (r,) * tail.shape[1])]
             point = list(anchor)
-            for j, d in zip(pos[sub].tolist(), digits):
-                point[movable[j]] = FieldElement(f, alternatives[movable[j]][d])
+            for j, d in zip(*piece_point(pos, lead, r, int(nz[0]))):
+                point[movable[j]] = FieldElement(f, alts[movable[j]][d])
             return tuple(point), done + int(nz[0]) + 1
         done += vals.shape[1]
     return None, done

@@ -14,6 +14,9 @@ from gridball.domain import (
     entropy,
     enumerate_ball,
     hamming_distance,
+    piece_point,
+    piece_sums,
+    shell_pieces,
     vol,
 )
 from gridball.gf import make_field
@@ -161,6 +164,50 @@ def test_ball_chunks_match_itertools_order(size):
             assert 1 <= len(chunks[-1]) <= size
             want = [[x.index for x in pt] for pt in _itertools_ball(center, radius, dom)]
             assert np.concatenate(chunks).tolist() == want
+
+
+@pytest.mark.parametrize("block", [1, 5, 40, 2048])
+def test_shell_pieces_follow_the_ball_order(block):
+    # the pieces, each expanded with its last position fastest, are the
+    # ball in ball_chunks order on domains whose movable coordinates
+    # share a radix r <= block; piece_point and piece_sums see the same
+    # points in the same order
+    rng = random.Random(f"pieces/{block}")
+    f = make_field(7)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        r = rng.randint(1, min(block, 4))
+        sets = [rng.sample(range(f.q), 1 if rng.random() < 0.2 else r + 1) for _ in range(n)]
+        dom = RectangularDomain(f, [[f.element(i) for i in a] for a in sets])
+        center = tuple(f.element(rng.choice(a)) for a in sets)
+        movable = [i for i, a in enumerate(dom.sets) if len(a) > 1]
+        alternatives = [[x.index for x in dom.sets[i] if x != center[i]] for i in movable]
+        for radius in range(n + 1):
+            factor = np.array([rng.randrange(-9, 10) for _ in range(2 * len(movable))])
+            factor = factor.reshape(2, len(movable))
+            table = np.array([rng.randrange(-99, 100) for _ in range(len(movable) * r)])
+            table = table.reshape(len(movable), r)
+            got = []
+            for pos, lead in shell_pieces(len(movable), r, radius, block):
+                tail = pos.shape[1] - len(lead)
+                assert len(pos) * max(r**tail, tail * r) <= block or len(pos) == 1
+                lead_arr = np.array(lead, dtype=np.int64)
+                sums = piece_sums(factor, table, np.array([5, 7]), pos, lead_arr, 13)
+                k = 0
+                for subset in pos.tolist():
+                    for digits in product(range(r), repeat=tail):
+                        changes = list(zip(subset, lead + digits))
+                        assert piece_point(pos, lead_arr, r, k) == (subset, list(lead + digits))
+                        steps = [factor[:, j] * table[j, d] % 13 for j, d in changes]
+                        assert sums[:, k].tolist() == (np.array([5, 7]) + sum(steps)).tolist()
+                        point = [x.index for x in center]
+                        for j, d in changes:
+                            point[movable[j]] = alternatives[j][d]
+                        got.append(point)
+                        k += 1
+                assert sums.shape[1] == k
+            want = np.concatenate(list(ball_chunks(center, radius, dom, 2048))).tolist()
+            assert got == want
 
 
 def test_ball_chunks_first_chunk_of_a_huge_ball():

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -373,21 +374,18 @@ def _uniform_instance(rng, f, n):
     return p, dom, anchor
 
 
-@pytest.mark.parametrize(
-    "work, tile", [(1 << 16, 1 << 18), (40, 0)], ids=["wide-blocks", "split-subsets-mod"]
-)
+@pytest.mark.parametrize("work", [1 << 16, 40], ids=["wide-blocks", "split-subsets"])
 @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2), (2, 3), (3, 3)])
-def test_shell_scan_matches_row_scan(monkeypatch, p, k, work, tile):
+def test_shell_scan_matches_row_scan(monkeypatch, p, k, work):
     # a 40-element block splits every subset of more than 40 // terms points
-    # on its leading digits; with no tiled exp table the logs are reduced
+    # on its leading digits
     monkeypatch.setattr(tester, "_WORK_ELEMS", work)
-    monkeypatch.setattr(tester, "_TILE_ELEMS", tile)
     f = make_field(p, k)
     rng = random.Random(f"shells/{p}/{k}")
     found = 0
     for _ in range(25):
         poly, dom, anchor = _uniform_instance(rng, f, rng.randint(1, 5))
-        if poly.monomial_count() > work:
+        if max(len(a) - 1 for a in dom.sets) * len(poly.terms) > work:
             continue
         for radius in range(dom.nvars + 1):
             (got, count), (want, box_count) = _both_routes(monkeypatch, poly, dom, anchor, radius)
@@ -446,3 +444,42 @@ def test_shell_scan_of_a_huge_ball_stops_at_its_witness(monkeypatch):
     assert time.perf_counter() - start < 2.0
     assert got == want and hamming_distance(got, anchor) == 1
     assert count == box_count == 2048 < vol(5, n, n)
+
+
+@pytest.mark.parametrize("nterms", [30, 250])
+def test_shell_scan_of_a_wide_radix_stays_within_its_blocks(monkeypatch, nterms):
+    # GF(2^12), 16 sets of 1024 elements: 1023 alternatives per coordinate.
+    # 60 terms take the kernel and 500 the row path (r * terms above
+    # _WORK_ELEMS); either way no table over all positions and
+    # alternatives is built, and the witness at distance 1, three chunks
+    # in, comes about as fast as from a black box
+    f = make_field(2, 12)
+    n, j = 16, 5
+    rng = random.Random(nterms)
+    dom = RectangularDomain(f, [[f.element(i) for i in rng.sample(range(1, f.q), 1024)]] * n)
+    anchor = tuple(rng.choice(a) for a in dom.sets)
+    terms = {}
+    while len(terms) < nterms:
+        terms[tuple(rng.randrange(4) for _ in range(n))] = f.element(rng.randrange(1, f.q))
+    poly = SparsePoly(f, n, terms)
+    poly = poly * (SparsePoly.variable(f, n, j) - SparsePoly.constant(f, n, anchor[j]))
+    poly._log_terms()  # built once per polynomial, outside the timings
+    calls = []
+    shells = tester._scan_shells
+    monkeypatch.setattr(tester, "_scan_shells", lambda *a: calls.append(a) or shells(*a))
+    explicit = EvaluationOracle.from_poly(poly)
+    box = EvaluationOracle(f, n, explicit.bound, lambda rows: poly.evaluate_many(rows))
+    seconds, peaks, found = [], [], []
+    for oracle in (explicit, box):
+        tracemalloc.start()
+        start = time.perf_counter()
+        found.append(tester._scan_ball(oracle, dom, anchor, 2))
+        seconds.append(time.perf_counter() - start)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert len(calls) == (len(poly.terms) * 1023 <= tester._WORK_ELEMS) == (nterms == 30)
+    assert found[0] == found[1] and hamming_distance(found[0], anchor) == 1
+    assert explicit.count == box.count == 3 * 2048
+    # a table over all 16 x 1023 steps would take 7.5 MiB at 60 terms
+    assert peaks[0] < 6 * 2**20
+    assert seconds[0] < 3 * seconds[1] + 0.05
