@@ -327,9 +327,12 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    # RecursionError: json nesting deeper than the interpreter's stack
-    except (ValueError, TypeError, KeyError, IndexError, OSError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # RecursionError: json nesting deeper than the interpreter's stack;
+    # MemoryError: an input too large to allocate, often with an empty message
+    except (
+        ValueError, TypeError, KeyError, IndexError, OSError, RecursionError, MemoryError
+    ) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     print(_summary(code, report), file=sys.stderr)
     return code

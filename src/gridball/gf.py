@@ -6,8 +6,11 @@ degree first.  Index 0 is the zero element, index 1 the one element, and for
 extension fields index p is the image of X modulo the field's irreducible.
 
 Multiplication runs on precomputed exp/log tables keyed by a fixed generator
-of the multiplicative group (the smallest-index element of full order);
-addition is digitwise mod-p arithmetic on the index.  The reducing polynomial
+of the multiplicative group (the smallest-index element of full order).
+Addition is digit-wise mod p on the index, in one of three regimes: XOR for
+p = 2, a sum mod p for k = 1, and for odd p with k > 1 a plain integer sum of
+packed indices, each base-p digit in its own bit field where it cannot carry,
+reduced digit by digit mod p by FieldSpec._unpack.  The reducing polynomial
 is the lexicographically smallest monic irreducible of degree k over GF(p),
 coefficients compared constant term first, so indices are portable across
 runs and implementations.
@@ -28,9 +31,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 MAX_ORDER = 1 << 20
-
-# Full q*q addition tables are only worth the memory for small fields.
-_ADD_TABLE_LIMIT = 256
 
 
 def is_prime(n: int) -> bool:
@@ -202,9 +202,9 @@ class FieldSpec:
         "generator_index",
         "_exp",
         "_log",
-        "_add_table",
         "_exp_arr",
         "_log_arr",
+        "_digit_fields",
         "_packed_arr",
         "_exp_addends",
     )
@@ -261,33 +261,29 @@ class FieldSpec:
         self._log = log.tolist()
         self._exp_arr = exp
         self._log_arr = log
-        # for vec_sum: the base-p digits of each index, one per 63 // k bits
+        # the packed form of each index: base-p digit j, of place value p^j,
+        # in the bit field of 63 // k bits that starts at bit 63 // k * j
+        self._digit_fields = [(63 // k * j, p**j) for j in range(k)]
         if p > 2 and k > 1:
             index = np.arange(q, dtype=np.int64)
-            self._packed_arr = sum((index // p**j % p) << (63 // k * j) for j in range(k))
+            self._packed_arr = sum(
+                (index // place % p) << shift for shift, place in self._digit_fields
+            )
             self._exp_addends = self._packed_arr[exp]
         else:
             self._packed_arr = None
             self._exp_addends = exp
-        if q <= _ADD_TABLE_LIMIT:
-            self._add_table = [
-                [self._add_slow(a, b) for b in range(q)] for a in range(q)
-            ]
-        else:
-            self._add_table = None
 
-    def _add_slow(self, a: int, b: int) -> int:
-        # in characteristic 2 an index is a GF(2) coefficient bit-vector
-        if self.p == 2:
-            return a ^ b
-        if self.k == 1:
-            return (a + b) % self.p
-        out, pw = 0, 1
-        for _ in range(self.k):
-            out += ((a + b) % self.p) * pw
-            a //= self.p
-            b //= self.p
-            pw *= self.p
+    def _unpack(self, s: int | np.ndarray) -> int | np.ndarray:
+        """Index of a packed digit-wise sum, each bit field reduced mod p.
+
+        Works alike on a Python int and on an int64 array; every field must
+        still hold its digit sum, see sum_addends.
+        """
+        p, mask = self.p, (1 << 63 // self.k) - 1
+        out = 0
+        for shift, place in self._digit_fields:
+            out += ((s >> shift) & mask) % p * place
         return out
 
     # -- index arithmetic -----------------------------------------------------
@@ -297,21 +293,18 @@ class FieldSpec:
         return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"
 
     def add_index(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add_slow(a, b)
+        if self.p == 2:
+            return a ^ b
+        if self.k == 1:
+            return (a + b) % self.p
+        return self._unpack(self._packed_arr.item(a) + self._packed_arr.item(b))
 
     def neg_index(self, a: int) -> int:
         if self.p == 2:
             return a
         if self.k == 1:
-            return (-a) % self.p
-        out, pw = 0, 1
-        for _ in range(self.k):
-            out += ((self.p - a % self.p) % self.p) * pw
-            a //= self.p
-            pw *= self.p
-        return out
+            return -a % self.p
+        return self._unpack((self.p - 1) * self._packed_arr.item(a))
 
     def mul_index(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -344,42 +337,34 @@ class FieldSpec:
             return a ^ b
         if self.k == 1:
             return (a + b) % self.p
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        pw = 1
-        for _ in range(self.k):
-            out += ((a // pw + b // pw) % self.p) * pw
-            pw *= self.p
-        return out
+        return self._unpack(self._packed_arr[a] + self._packed_arr[b])
 
     def vec_sum(self, a: np.ndarray) -> np.ndarray:
-        """Field sum of an index array along its last axis."""
+        """Field sum of an index array along its last axis, see sum_addends."""
         return self.sum_addends(a if self._packed_arr is None else self._packed_arr[a])
 
     def sum_addends(self, a: np.ndarray) -> np.ndarray:
         """Field sum along the last axis of addends, indices of the sum.
 
-        Addends are indices mapped through _packed_arr when the field has
-        one (odd p, k > 1), else the indices themselves; _exp_addends is
-        the exp table in that form, and 0 is the zero addend either way.
+        Three regimes: for p = 2 addends are indices, summed by XOR; for
+        k = 1 they are indices, summed mod p; for odd p with k > 1 they are
+        packed indices (_packed_arr), added as integers and unpacked.
+        _exp_addends is the exp table as addends, and 0 is the zero addend
+        in every regime.
         """
         if self.p == 2:
             return np.bitwise_xor.reduce(a, axis=-1)
         if self.k == 1:
             return a.sum(axis=-1) % self.p
-        # digit-wise sums mod p: in packed form a group of up to `group`
-        # addends cannot carry from one digit's bit field into the next
-        width = 63 // self.k
-        group = ((1 << width) - 1) // (self.p - 1)
+        # a group of up to `group` packed addends cannot carry from one
+        # digit's bit field into the next; longer sums go group by group
+        group = ((1 << 63 // self.k) - 1) // (self.p - 1)
         n = a.shape[-1]
         if n > group:
             padded = np.zeros(a.shape[:-1] + (n + -n % group,), dtype=np.int64)
             padded[..., :n] = a
             return self.vec_sum(self.sum_addends(padded.reshape(a.shape[:-1] + (-1, group))))
-        sums = a.sum(axis=-1)
-        out = np.zeros(sums.shape, dtype=np.int64)
-        for j in range(self.k):
-            out += (sums >> (width * j) & ((1 << width) - 1)) % self.p * self.p**j
-        return out
+        return self._unpack(a.sum(axis=-1))
 
     def vec_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         prod = self._exp_arr[(self._log_arr[a] + self._log_arr[b]) % (self.q - 1)]

@@ -166,8 +166,8 @@ class SparsePoly:
         Works in the log domain: a term's log is log c + sum e_i log x_i
         mod (q-1), one matrix product for all points and a block of terms.
         Terms whose support meets a zero coordinate are zeroed, the rest
-        gathered through exp and summed with vec_sum.  Each points x terms
-        array holds at most _WORK_ELEMS elements.
+        gathered through exp as addends and summed with sum_addends.  Each
+        points x terms array holds at most _WORK_ELEMS elements.
         """
         if points.ndim != 2 or points.shape[1] != self.nvars:
             raise ValueError(f"expected shape (n, {self.nvars})")
@@ -186,10 +186,11 @@ class SparsePoly:
             vals = (logs @ exps[:, lo:hi]).astype(np.int64)
             vals += log_coeffs[lo:hi]
             vals -= vals // order * order  # faster than % on int64
-            np.take(f._exp_arr, vals, out=vals)
+            # indices are in range, and mode="clip" keeps take from buffering
+            np.take(f._exp_addends, vals, out=vals, mode="clip")
             if zeroed is not None:
                 vals[zeroed] = 0
-            sums.append(f.vec_sum(vals))
+            sums.append(f.sum_addends(vals))
         if len(sums) < 2:
             return sums[0] if sums else np.zeros(len(points), dtype=np.int64)
         return f.vec_sum(np.stack(sums, axis=-1))

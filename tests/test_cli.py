@@ -161,6 +161,18 @@ def test_unprintable_report_exits_2(capsys, tmp_path):
     assert code == 2 and out.out == "" and out.err.startswith("error:")
 
 
+def test_memory_error_exits_2(capsys, monkeypatch, f4_files):
+    # an input too large to allocate must not end in exit 1, the witness code
+    def out_of_memory(self, domain):
+        raise MemoryError
+
+    monkeypatch.setattr(SparsePoly, "reduce_mod_domain", out_of_memory)
+    poly, dom = f4_files
+    code, report, err = _run(capsys, ["reduce", "--poly", poly, "--domain", dom])
+    assert code == 2 and report is None
+    assert err.splitlines() == ["error: MemoryError"]
+
+
 def test_unwritable_out_exits_2(capsys, tmp_path, fermat_files):
     poly, dom = fermat_files
     out = tmp_path / "missing" / "r.json"

@@ -226,25 +226,32 @@ def test_field_axioms_exhaustive(p, k):
     assert np.all((mul[1:] == 1).sum(axis=1) == 1)
 
 
-@pytest.mark.parametrize("p,k", [(3, 2), (2, 8), (2, 12)])
+@pytest.mark.parametrize(
+    "p,k", [(3, 2), (2, 8), (2, 12), (3, 3), (5, 2), (7, 3), (3, 12), (1048573, 1)]
+)
 def test_vec_ops_match_scalar_ops(p, k):
     f = make_field(p, k)
     rngN = 50
     rs = np.random.RandomState(7)
     a = rs.randint(0, f.q, rngN)
     b = rs.randint(0, f.q, rngN)
+    a[0], b[0] = f.q - 1, f.q - 1  # every digit p - 1, the largest digit sums
     assert np.array_equal(
         f.vec_add(a, b), np.array([f.add_index(x, y) for x, y in zip(a, b)])
     )
     # addition is digit-wise mod p on the coefficient vectors
     def digits(x):
-        return [x // p**i % p for i in range(k)]
+        return [int(x) // p**i % p for i in range(k)]
 
-    digitwise = [
-        sum((u + v) % p * p**i for i, (u, v) in enumerate(zip(digits(x), digits(y))))
-        for x, y in zip(a, b)
-    ]
+    def undigits(ds):
+        return sum(d % p * p**i for i, d in enumerate(ds))
+
+    digitwise = [undigits([u + v for u, v in zip(digits(x), digits(y))]) for x, y in zip(a, b)]
     assert f.vec_add(a, b).tolist() == digitwise
+    assert [f.add_index(int(x), int(y)) for x, y in zip(a, b)] == digitwise
+    negs = [f.neg_index(int(x)) for x in a]
+    assert negs == [undigits([-u for u in digits(x)]) for x in a]
+    assert [f.add_index(int(x), n) for x, n in zip(a, negs)] == [0] * rngN
     assert np.array_equal(
         f.vec_mul(a, b), np.array([f.mul_index(x, y) for x, y in zip(a, b)])
     )
