@@ -164,12 +164,13 @@ def cmd_solve_system(config: RunConfig) -> tuple[int, dict]:
         raise ValueError("domain and system disagree on the variable count")
     anchor_idx = data.get("anchor")
     if config.anchor is not None:
-        anchor_idx = [int(t) for t in config.anchor.split(",")]
-    if anchor_idx is None:
+        anchor = _parse_anchor(config, domain)
+    elif anchor_idx is None:
         raise ValueError("the system file or --anchor must provide an anchor")
-    anchor = tuple(field.element(json_int(i, "anchor index")) for i in anchor_idx)
-    if len(anchor) != system.nvars:
-        raise ValueError("anchor has the wrong number of coordinates")
+    else:
+        anchor = tuple(field.element(json_int(i, "anchor index")) for i in anchor_idx)
+        if len(anchor) != system.nvars:
+            raise ValueError("anchor has the wrong number of coordinates")
 
     if domain.contains_zero:
         vertex = domain.zero_paired_vertex()

@@ -2,10 +2,11 @@
 
 A rectangular domain is a product A_1 x .. x A_N of nonempty subsets of a
 finite field, one per coordinate.  Domains are immutable.  A Hamming ball
-comes as int64 arrays of canonical indices, in fixed-size chunks
-(ball_chunks), or as FieldElement tuples in the same order (enumerate_ball);
-when every movable coordinate has the same number of alternatives, also as
-product sub-grids in that order (shell_pieces, piece_sums, piece_point).
+comes as int64 arrays of canonical indices, in blocks of at most a given
+number of rows that never span two shells (ball_chunks), or as FieldElement
+tuples in the same order (enumerate_ball); when every movable coordinate
+has the same number of alternatives, also as product sub-grids in that
+order (shell_pieces, piece_sums, piece_point).
 
 JSON format: {"field": "GF(p^k)", "sets": [[indices], ..]}.
 """
@@ -122,13 +123,14 @@ def ball_chunks(
 ) -> Iterator[np.ndarray]:
     """The points of the Hamming ball around the center as int64 index arrays.
 
-    Yields (size, N) arrays of canonical indices, the last one possibly
-    shorter, with each point exactly once.  Order: radius 0 first, then
-    radius 1, and so on; within a radius, changed-position subsets in
-    lexicographic order and replacement values in canonical element order,
-    the last changed position fastest.  shell_pieces gives the same order
-    as sub-grids when every movable coordinate has the same number of
-    alternatives; the shell scan in tester relies on the two agreeing.
+    Yields (rows, N) arrays of canonical indices, 1 <= rows <= size, with
+    each point exactly once; a block never spans two shells, so the center
+    comes alone.  Order: radius 0 first, then radius 1, and so on; within a
+    radius, changed-position subsets in lexicographic order and replacement
+    values in canonical element order, the last changed position fastest.
+    shell_pieces gives the same order as sub-grids when every movable
+    coordinate has the same number of alternatives; the shell scan in tester
+    relies on the two agreeing.
 
     A shell is built by decoding point ranks.  Its position subsets come in
     batches of at most `size`; np.searchsorted over their cumulative point
@@ -190,37 +192,21 @@ def ball_chunks(
                 start.append(d)
             yield points(pos, np.arange(min(size, total - offset)), start[::-1])
 
-    def pieces() -> Iterator[np.ndarray]:
-        yield base[None, :]
-        for rho in range(1, min(radius, len(movable)) + 1):
-            subsets = combinations(movable, rho)
-            while batch := list(islice(subsets, size)):
-                pos = np.array(batch, dtype=np.int64)
-                counts = np.ones(len(batch), dtype=np.int64)
-                for t in range(rho):
-                    counts = np.minimum(counts * radix[pos[:, t]], size + 1)
-                ends = np.cumsum(counts)
-                x = 0
-                for j in np.flatnonzero(counts > size).tolist():
-                    yield from ranked(pos, counts, ends, x, int(ends[j] - counts[j]))
-                    yield from big(pos[j])
-                    x = int(ends[j])
-                yield from ranked(pos, counts, ends, x, int(ends[-1]))
-
-    chunk = np.empty((size, n), dtype=np.int64)
-    filled = 0
-    for rows in pieces():
-        while len(rows):
-            take = min(size - filled, len(rows))
-            chunk[filled : filled + take] = rows[:take]
-            filled += take
-            rows = rows[take:]
-            if filled == size:
-                yield chunk
-                chunk = np.empty((size, n), dtype=np.int64)
-                filled = 0
-    if filled:
-        yield chunk[:filled]
+    yield base[None, :]
+    for rho in range(1, min(radius, len(movable)) + 1):
+        subsets = combinations(movable, rho)
+        while batch := list(islice(subsets, size)):
+            pos = np.array(batch, dtype=np.int64)
+            counts = np.ones(len(batch), dtype=np.int64)
+            for t in range(rho):
+                counts = np.minimum(counts * radix[pos[:, t]], size + 1)
+            ends = np.cumsum(counts)
+            x = 0
+            for j in np.flatnonzero(counts > size).tolist():
+                yield from ranked(pos, counts, ends, x, int(ends[j] - counts[j]))
+                yield from big(pos[j])
+                x = int(ends[j])
+            yield from ranked(pos, counts, ends, x, int(ends[-1]))
 
 
 def shell_pieces(m: int, r: int, radius: int, block: int) -> Iterator[tuple[np.ndarray, tuple]]:

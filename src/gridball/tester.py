@@ -30,13 +30,13 @@ from gridball.domain import (  # noqa: F401
     piece_point,
     piece_sums,
     shell_pieces,
-    vol,
 )
 from gridball.gf import FieldElement, FieldSpec, max_ratio_order
 from gridball.poly import _WORK_ELEMS, SparsePoly
 
 Point = tuple[FieldElement, ...]
 
+# most ball points per row block of the row scan
 _CHUNK = 2048
 
 RULE_RATIO_ORDER = "ratio-order"
@@ -76,13 +76,16 @@ class SearchReport:
 class EvaluationOracle:
     """Point-evaluation black box with a declared monomial bound.
 
-    `batch` is the only evaluation route: it maps an (n, nvars) int64 array
-    of canonical point indices to an int64 array of value indices.  `poly`
-    is the explicit polynomial behind the oracle, if any; only the
-    degree-bounded radius rule reads it.  The declared bound must be at
-    least the true number of monomials of the underlying polynomial; the
-    radius guarantees are conditional on that.  The counter increases by
-    exactly one per point evaluated.
+    `batch` maps an (n, nvars) int64 array of canonical point indices to an
+    int64 array of value indices; when it is poly.evaluate_many, the ball
+    scan may evaluate poly shell by shell instead.  `poly` is the explicit
+    polynomial behind the oracle, if any; only the degree-bounded radius
+    rule reads it.  The declared bound must be at least the true number of
+    monomials of the underlying polynomial; the radius guarantees are
+    conditional on that.  `count` grows by one per point through evaluate
+    or evaluate_many; a ball scan adds the points a point-by-point scan in
+    ball order would evaluate: up to and including the witness, or the
+    whole ball, however it batched them.
     """
 
     def __init__(
@@ -199,16 +202,16 @@ def _scan_ball(
 ) -> Point | None:
     """First ball point (in enumeration order) where the oracle is nonzero.
 
-    The evaluation count is that of a scan in int64 index chunks of _CHUNK
-    points: whole chunks up to the witness, so it is deterministic.  An
-    oracle built from its polynomial on a domain whose movable coordinates
-    all have the same number r of alternatives, with r * terms at most
-    _WORK_ELEMS, is scanned by _scan_shells; every other oracle gets the
-    chunks from ball_chunks.  Ragged domains keep the chunks because there
-    every position subset would be its own small tensor: on 128-term polys
-    over GF(2^8) and GF(2^12), per-subset outer sums took about twice the
-    time of ball_chunks plus evaluate_many.  Only the witness is built as
-    FieldElements.
+    Bills the oracle what a sequential tester pays, whatever the batching:
+    the witness's ball rank + 1, or the ball's point count when there is
+    none.  An oracle built from its polynomial on a domain whose movable
+    coordinates all have the same number r of alternatives, with r * terms
+    at most _WORK_ELEMS, is scanned by _scan_shells; every other oracle
+    row by row from ball_chunks.  Ragged domains keep the rows because
+    there every position subset would be its own small tensor: on 128-term
+    polys over GF(2^8) and GF(2^12), per-subset outer sums took about twice
+    the time of ball_chunks plus evaluate_many.  Only the witness is built
+    as FieldElements.
     """
     poly = oracle.poly
     alts = alternatives(anchor, domain)
@@ -220,18 +223,17 @@ def _scan_ball(
         and max(radix, default=1) * max(1, len(poly.terms)) <= _WORK_ELEMS
     ):
         witness, scanned = _scan_shells(poly, anchor, alts, radius)
-        if witness is not None:
-            # whole chunks up to the witness, the last one short at the ball's end
-            movable = len([a for a in alts if a])
-            volume = vol(max(radix, default=0) + 1, movable, radius)
-            scanned = min(volume, -(-scanned // _CHUNK) * _CHUNK)
-        oracle.count += scanned
-        return witness
-    for chunk in ball_chunks(anchor, radius, domain, _CHUNK):
-        nz = np.flatnonzero(oracle.evaluate_many(chunk))
-        if nz.size:
-            return tuple(FieldElement(domain.field, i) for i in chunk[nz[0]].tolist())
-    return None
+    else:
+        witness, scanned = None, 0
+        for rows in ball_chunks(anchor, radius, domain, _CHUNK):
+            nz = np.flatnonzero(oracle._batch(rows))
+            if nz.size:
+                witness = tuple(FieldElement(domain.field, i) for i in rows[nz[0]].tolist())
+                scanned += int(nz[0]) + 1
+                break
+            scanned += len(rows)
+    oracle.count += scanned
+    return witness
 
 
 def _scan_shells(

@@ -3,6 +3,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gridball import brute
 from gridball.cli import main
@@ -307,6 +309,12 @@ def test_solve_system_anchor_override(capsys, system_file):
     assert code == 1 and report["distance"] == 0
 
 
+def test_solve_system_bad_anchor_override(capsys, system_file):
+    code, _, err = _run(capsys, ["solve-system", "--system", system_file, "--anchor", "1,x"])
+    assert code == 2
+    assert err == "error: bad anchor '1,x', expected comma-separated indices\n"
+
+
 def test_solve_system_unsatisfiable(capsys, tmp_path):
     sysf = _write(
         tmp_path / "unsat.json",
@@ -436,3 +444,67 @@ def test_reports_are_byte_identical(tmp_path, capsys, fermat_files, system_file)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
+
+# -- any JSON input ends in exit 0, 1 or 2 -------------------------------------
+
+_VALID = {
+    "poly": {
+        "field": "GF(7)",
+        "nvars": 2,
+        "terms": [{"coeff": 3, "exps": [6, 1]}, {"coeff": 1, "exps": [0, 2]}],
+    },
+    "domain": {"field": "GF(7)", "sets": [[1, 2, 4], [1, 2, 4]]},
+    "system": {
+        "field": "GF(7)",
+        "polys": [{"nvars": 2, "terms": [{"coeff": 1, "exps": [1, 0]}, {"coeff": 6, "exps": [0, 1]}]}],
+        "domain": {"field": "GF(7)", "sets": [[1, 3], [2, 3, 5]]},
+        "anchor": [3, 5],
+    },
+}
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([-1, 0, 1, 2, 6, 7, 10**9, 2**63, 10**30])
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["GF(2)", "GF(7)", "GF(3^2)", "GF(7", "GF(0)", "GF(6)"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _mutated(draw, doc):
+    """doc with one node replaced by any JSON value, or one key dropped."""
+    if not isinstance(doc, (dict, list)) or not doc or draw(st.integers(0, 3)) == 0:
+        return draw(_JSON)
+    out = doc.copy()
+    key = draw(st.sampled_from(sorted(doc) if isinstance(doc, dict) else range(len(doc))))
+    if isinstance(doc, dict) and draw(st.integers(0, 5)) == 0:
+        del out[key]
+    else:
+        out[key] = draw(_mutated(doc[key]))
+    return out
+
+
+def _input(kind):
+    return st.one_of(_JSON, _mutated(_VALID[kind]), st.just(_VALID[kind]))
+
+
+@settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(poly=_input("poly"), domain=_input("domain"), system=_input("system"))
+def test_any_json_input_exits_0_1_or_2(tmp_path, poly, domain, system):
+    # no traceback escapes main, whatever the files hold
+    files = ["--poly", _write(tmp_path / "p.json", poly)]
+    files += ["--domain", _write(tmp_path / "d.json", domain)]
+    for argv in (
+        ["test-zero", *files],
+        ["find-nonzero", *files, "--anchor", "1,2"],
+        ["solve-system", "--system", _write(tmp_path / "s.json", system)],
+        ["reduce", *files],
+    ):
+        assert main(argv) in (0, 1, 2)

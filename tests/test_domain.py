@@ -160,8 +160,10 @@ def test_ball_chunks_match_itertools_order(size):
         center = tuple(rng.choice(a) for a in dom.sets)
         for radius in range(dom.nvars + 1):
             chunks = list(ball_chunks(center, radius, dom, size))
-            assert all(len(c) == size for c in chunks[:-1])
-            assert 1 <= len(chunks[-1]) <= size
+            assert all(1 <= len(c) <= size for c in chunks)
+            # no block spans two shells
+            base = np.array([x.index for x in center])
+            assert all(len(set((c != base).sum(axis=1).tolist())) == 1 for c in chunks)
             want = [[x.index for x in pt] for pt in _itertools_ball(center, radius, dom)]
             assert np.concatenate(chunks).tolist() == want
 
@@ -211,15 +213,17 @@ def test_shell_pieces_follow_the_ball_order(block):
 
 
 def test_ball_chunks_first_chunk_of_a_huge_ball():
-    # 5^40 points: the first chunk must not wait for the rest of the ball
+    # 5^40 points: the first 2048 must not wait for the rest of the ball
     f = make_field(5)
     dom = RectangularDomain.power(f, list(f.elements()), 40)
     center = (f.one,) * 40
     start = time.perf_counter()
-    first = next(ball_chunks(center, 40, dom, 2048))
+    blocks, first = ball_chunks(center, 40, dom, 2048), []
+    while len(first) < 2048:
+        first += next(blocks).tolist()
     assert time.perf_counter() - start < 2.0
     want = [[x.index for x in pt] for pt in islice(_itertools_ball(center, 40, dom), 2048)]
-    assert first.tolist() == want
+    assert first[:2048] == want
 
 
 def test_ball_chunks_validates_size(f5):

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridball import brute, tester
+from gridball import brute, poly as poly_module, tester
 from gridball.domain import RectangularDomain, enumerate_ball, hamming_distance, vol
 from gridball.gf import make_field
 from gridball.poly import SparsePoly
+from gridball.solver import PolySystem, solve_near, solve_near_zero_domain
 from gridball.tester import (
     EvaluationOracle,
     find_nonzero_near,
@@ -343,10 +344,10 @@ def _both_routes(monkeypatch, p, dom, anchor, radius):
     return (got, explicit.count), (want, box.count)
 
 
-def _uniform_instance(rng, f, n):
-    """A domain whose movable coordinates share a radix r, an anchor, and a
-    polynomial with exponents 0, 1, q-1, q and 2q+1, often made to vanish
-    near the anchor or on the whole domain."""
+def _uniform_instance(rng, f, n, ragged=False):
+    """A domain whose movable coordinates share a radix r (any radix when
+    ragged), an anchor, and a polynomial with exponents 0, 1, q-1, q and
+    2q+1, often made to vanish near the anchor or on the whole domain."""
     r = rng.randint(1, min(4, f.q - 1))
     sets = []
     for _ in range(n):
@@ -355,7 +356,8 @@ def _uniform_instance(rng, f, n):
         elif r == 1 and rng.random() < 0.5:
             sets.append([0, rng.randrange(1, f.q)])
         else:
-            sets.append(rng.sample(range(f.q), r + 1))  # 0 included at times
+            size = rng.randint(2, min(f.q, 5)) if ragged else r + 1
+            sets.append(rng.sample(range(f.q), size))  # 0 included at times
     dom = RectangularDomain(f, [[f.element(i) for i in a] for a in sets])
     anchor = tuple(f.element(rng.choice(a)) for a in sets)
     powers = [0, 1, f.q - 1, f.q, 2 * f.q + 1]
@@ -397,7 +399,7 @@ def test_shell_scan_matches_row_scan(monkeypatch, p, k, work):
 
 @pytest.mark.parametrize("rank", [2047, 2048, 2049])
 @pytest.mark.parametrize("p,k", [(7, 1), (3, 3)])
-def test_shell_scan_bills_whole_chunks(monkeypatch, p, k, rank):
+def test_shell_scan_bills_the_witness_rank(monkeypatch, p, k, rank):
     # 3^8 points, two alternatives per coordinate; the polynomial's first
     # nonzero in ball order is the point of the given rank: it vanishes
     # where a coordinate the point changes is unchanged or takes an
@@ -417,7 +419,7 @@ def test_shell_scan_bills_whole_chunks(monkeypatch, p, k, rank):
                 poly = poly * (SparsePoly.variable(f, n, i) - SparsePoly.constant(f, n, y))
     (got, count), (want, box_count) = _both_routes(monkeypatch, poly, dom, anchor, n)
     assert got == want == target
-    assert count == box_count == 2048 * -(-(rank + 1) // 2048)
+    assert count == box_count == rank + 1
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (7, 1), (3, 3)])
@@ -443,7 +445,8 @@ def test_shell_scan_of_a_huge_ball_stops_at_its_witness(monkeypatch):
     (got, count), (want, box_count) = _both_routes(monkeypatch, poly, dom, anchor, n)
     assert time.perf_counter() - start < 2.0
     assert got == want and hamming_distance(got, anchor) == 1
-    assert count == box_count == 2048 < vol(5, n, n)
+    # the anchor, 4 alternatives at each position before j, then the first at j
+    assert count == box_count == 1 + 4 * j + 1
 
 
 @pytest.mark.parametrize("nterms", [30, 250])
@@ -451,8 +454,8 @@ def test_shell_scan_of_a_wide_radix_stays_within_its_blocks(monkeypatch, nterms)
     # GF(2^12), 16 sets of 1024 elements: 1023 alternatives per coordinate.
     # 60 terms take the kernel and 500 the row path (r * terms above
     # _WORK_ELEMS); either way no table over all positions and
-    # alternatives is built, and the witness at distance 1, three chunks
-    # in, comes about as fast as from a black box
+    # alternatives is built, and the witness at distance 1, about 5,000
+    # points in, comes about as fast as from a black box
     f = make_field(2, 12)
     n, j = 16, 5
     rng = random.Random(nterms)
@@ -479,7 +482,100 @@ def test_shell_scan_of_a_wide_radix_stays_within_its_blocks(monkeypatch, nterms)
         tracemalloc.stop()
     assert len(calls) == (len(poly.terms) * 1023 <= tester._WORK_ELEMS) == (nterms == 30)
     assert found[0] == found[1] and hamming_distance(found[0], anchor) == 1
-    assert explicit.count == box.count == 3 * 2048
+    alternatives = [x for x in dom.sets[j] if x != anchor[j]]
+    assert explicit.count == box.count == 1 + 1023 * j + alternatives.index(found[0][j]) + 1
     # a table over all 16 x 1023 steps would take 7.5 MiB at 60 terms
     assert peaks[0] < 6 * 2**20
     assert seconds[0] < 3 * seconds[1] + 0.05
+
+
+# -- billing ---------------------------------------------------------------------
+
+
+def _first_hit(hit, anchor, radius, dom):
+    """The first point of enumerate_ball where hit holds and its 1-based
+    position, or (None, the ball's point count)."""
+    count = 0
+    for point in enumerate_ball(anchor, radius, dom):
+        count += 1
+        if hit(point):
+            return point, count
+    return None, count
+
+
+def _poly_search(oracle, dom, anchor):
+    """A search at select_radius's radius, or over the whole domain when no
+    rule applies; a {0, a_i} corner anchor costs one origin evaluation."""
+    try:
+        radius, rule = select_radius(oracle, dom, anchor)
+    except ValueError:
+        radius, rule = dom.nvars, "none"
+    return tester._search(oracle, dom, anchor, radius, rule, ("vanishes", "witness"), 0)
+
+
+def _system_instance(rng, f):
+    """1-2 polynomials and an anchor on a zero-free ragged domain, or on
+    {0, a_i}^N with every term vanishing at the origin."""
+    n = rng.randint(1, 4)
+    zero_domain = rng.random() < 0.4
+    if zero_domain:
+        sets = [[0, rng.randrange(1, f.q)] for _ in range(n)]
+    else:
+        sets = [rng.sample(range(1, f.q), rng.randint(1, min(f.q - 1, 4))) for _ in range(n)]
+    dom = RectangularDomain(f, [[f.element(i) for i in a] for a in sets])
+    polys = []
+    for _ in range(rng.randint(1, 2)):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            exps = [rng.randrange(f.q + 1) for _ in range(n)]
+            if zero_domain and not any(exps):
+                exps[rng.randrange(n)] = 1
+            terms[tuple(exps)] = f.element(rng.randrange(1, f.q))
+        polys.append(SparsePoly(f, n, terms))
+    anchor = tuple(a[-1] if zero_domain else rng.choice(a) for a in dom.sets)
+    return PolySystem(polys), dom, anchor, zero_domain
+
+
+def test_billing_does_not_depend_on_block_sizes(monkeypatch):
+    # every route bills what a point-by-point scan in enumerate_ball order
+    # pays, plus the origin evaluation of the zero-domain rules, whatever
+    # the row block (_CHUNK) and the work array (_WORK_ELEMS)
+    rng = random.Random("billing")
+    blocks = [(chunk, work) for chunk in (1, 7, 2048) for work in (40, 1 << 16)]
+    theorems = set()
+    for p, k in [(5, 1), (7, 1), (3, 2), (2, 3)]:
+        f = make_field(p, k)
+        for i in range(12):
+            # uniform, ragged, or {0, a_i}^N with the anchor at the corner
+            poly, dom, anchor = _uniform_instance(rng, f, rng.randint(2, 4), ragged=i % 3 == 1)
+            if i % 3 == 2:
+                dom = RectangularDomain(f, [[f.zero, f.element(rng.randrange(1, f.q))]] * dom.nvars)
+                anchor = dom.zero_paired_vertex()
+                poly = poly + SparsePoly.constant(f, dom.nvars, f.element(rng.randrange(1, f.q)))
+            system, sdom, sanchor, zero_domain = _system_instance(rng, f)
+            got = {}
+            for chunk, work in blocks:
+                monkeypatch.setattr(tester, "_CHUNK", chunk)
+                monkeypatch.setattr(tester, "_WORK_ELEMS", work)
+                monkeypatch.setattr(poly_module, "_WORK_ELEMS", work)
+                explicit = EvaluationOracle.from_poly(poly)
+                box = EvaluationOracle(f, dom.nvars, explicit.bound, lambda rows: poly.evaluate_many(rows))
+                solve = solve_near_zero_domain(system, sanchor) if zero_domain else solve_near(system, sanchor, sdom)
+                for name, rep in [
+                    ("explicit", _poly_search(explicit, dom, anchor)),
+                    ("box", _poly_search(box, dom, anchor)),
+                    ("system", solve),
+                ]:
+                    got.setdefault(name, set()).add(
+                        (rep.verdict, rep.witness, rep.distance, rep.radius, rep.evaluations)
+                    )
+                    theorems.add(rep.theorem)
+            origin = dom.zero_paired_vertex() == anchor
+            for name in ("explicit", "box"):
+                [(_, witness, _, radius, evaluations)] = got[name]
+                want, count = _first_hit(lambda x: poly.evaluate(x).index != 0, anchor, radius, dom)
+                assert (witness, evaluations) == (want, count + origin)
+            [(_, witness, _, radius, evaluations)] = got["system"]
+            want, count = _first_hit(system.is_solution, sanchor, radius, sdom)
+            assert (witness, evaluations) == (want, count + zero_domain)
+    assert {"zero-domain", "ratio-order", "indicator-zero-domain", "indicator-ratio-order"} <= theorems
