@@ -1,12 +1,12 @@
 """Rectangular domains, Hamming distance, ball enumeration, and ball volumes.
 
 A rectangular domain is a product A_1 x .. x A_N of nonempty subsets of a
-finite field, one per coordinate.  Domains are immutable.  A Hamming ball
-comes as int64 arrays of canonical indices, in blocks of at most a given
-number of rows that never span two shells (ball_chunks), or as FieldElement
-tuples in the same order (enumerate_ball); when every movable coordinate
-has the same number of alternatives, also as product sub-grids in that
-order (shell_pieces, piece_sums, piece_point).
+finite field, one per coordinate.  Domains are immutable.  The order of a
+Hamming ball is written once, in shell_pieces, as product sub-grids of at
+most a given number of points.  ball_chunks decodes each piece into int64
+rows of canonical indices, and enumerate_ball those rows into FieldElement
+tuples; when every movable coordinate has the same number of
+alternatives, piece_sums and piece_point work on a piece without rows.
 
 JSON format: {"field": "GF(p^k)", "sets": [[indices], ..]}.
 """
@@ -14,7 +14,8 @@ JSON format: {"field": "GF(p^k)", "sets": [[indices], ..]}.
 from __future__ import annotations
 
 import math
-from itertools import combinations, islice, product
+from bisect import bisect_right
+from itertools import accumulate, chain, combinations, islice, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -128,17 +129,10 @@ def ball_chunks(
     comes alone.  Order: radius 0 first, then radius 1, and so on; within a
     radius, changed-position subsets in lexicographic order and replacement
     values in canonical element order, the last changed position fastest.
-    shell_pieces gives the same order as sub-grids when every movable
-    coordinate has the same number of alternatives; the shell scan in tester
-    relies on the two agreeing.
-
-    A shell is built by decoding point ranks.  Its position subsets come in
-    batches of at most `size`; np.searchsorted over their cumulative point
-    counts gives each point its subset, and the mixed-radix digits of its
-    rank in the subset pick its values from one padded table of
-    alternatives.  Counts saturate at size + 1, and a subset with more
-    points than that is decoded on its own, from an exact offset, so memory
-    stays O(size * N) however large the ball.
+    Each block is one piece of shell_pieces, which alone writes that order:
+    the mixed-radix digits of each subset's points pick their values from
+    one padded table of alternatives, so memory stays O(size * N) however
+    large the ball.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -150,91 +144,88 @@ def ball_chunks(
     n = domain.nvars
     base = np.array([x.index for x in center], dtype=np.int64)
     alts = alternatives(center, domain)
-    radix = np.array([len(a) for a in alts], dtype=np.int64)
-    width = max(1, max(radix, default=0))
-    table = np.zeros((n, width), dtype=np.int64)
-    for i, a in enumerate(alts):
-        table[i, : len(a)] = a
-    flat_table = table.reshape(-1)
     # a subset that contains a single-valued coordinate has no points
     movable = [i for i in range(n) if alts[i]]
-
-    def points(pos: np.ndarray, rank: np.ndarray, start: Sequence[int]) -> np.ndarray:
-        # rows of the points whose changed positions are pos ((m, rho), a
-        # subset per point, or (rho,), one subset for all) and whose
-        # replacement digits are start + rank in those positions' radix
-        rows = np.empty((len(rank), n), dtype=np.int64)
+    radix = [len(alts[i]) for i in movable]
+    width = max(radix, default=1)
+    # the movable coordinates' alternatives, padded to one width, flat
+    table = np.array([alts[i] + [0] * (width - len(alts[i])) for i in movable], dtype=np.int64)
+    table = table.reshape(-1)
+    column = np.array(movable, dtype=np.int64)
+    rad = np.array(radix, dtype=np.int64)
+    for pos, lead in shell_pieces(radix, radius, size):
+        pos_rad = rad[pos]
+        counts = pos_rad[:, len(lead) :].prod(axis=1)
+        sub = np.repeat(np.arange(len(pos)), counts)
+        # each point's rank in its subset: the digits of its tail positions
+        rank = np.arange(len(sub)) - (np.cumsum(counts) - counts)[sub]
+        rows = np.empty((len(sub), n), dtype=np.int64)
         rows[:] = base
         flat = rows.reshape(-1)
         row_starts = np.arange(0, rows.size, n)
-        rad = radix[pos]
-        carry = rank
-        for t in range(pos.shape[-1] - 1, -1, -1):
-            carry, digit = np.divmod(carry + start[t], rad[..., t])
-            flat[row_starts + pos[..., t]] = flat_table[pos[..., t] * width + digit]
-        return rows
-
-    def ranked(pos, counts, ends, lo, hi) -> Iterator[np.ndarray]:
-        # cumulative ranks lo..hi-1 of a batch, none of them in a big subset
-        for x in range(lo, hi, size):
-            at = np.arange(x, min(x + size, hi))
-            sub = np.searchsorted(ends, at, side="right")
-            yield points(pos[sub], at - (ends[sub] - counts[sub]), [0] * pos.shape[1])
-
-    def big(pos) -> Iterator[np.ndarray]:
-        # one subset with more than `size` points, from exact Python offsets
-        rad = radix[pos].tolist()
-        total = math.prod(rad)
-        for offset in range(0, total, size):
-            start, rest = [], offset
-            for r in reversed(rad):
-                rest, d = divmod(rest, r)
-                start.append(d)
-            yield points(pos, np.arange(min(size, total - offset)), start[::-1])
-
-    yield base[None, :]
-    for rho in range(1, min(radius, len(movable)) + 1):
-        subsets = combinations(movable, rho)
-        while batch := list(islice(subsets, size)):
-            pos = np.array(batch, dtype=np.int64)
-            counts = np.ones(len(batch), dtype=np.int64)
-            for t in range(rho):
-                counts = np.minimum(counts * radix[pos[:, t]], size + 1)
-            ends = np.cumsum(counts)
-            x = 0
-            for j in np.flatnonzero(counts > size).tolist():
-                yield from ranked(pos, counts, ends, x, int(ends[j] - counts[j]))
-                yield from big(pos[j])
-                x = int(ends[j])
-            yield from ranked(pos, counts, ends, x, int(ends[-1]))
+        for t in range(pos.shape[1] - 1, len(lead) - 1, -1):
+            rank, digit = np.divmod(rank, pos_rad[sub, t])
+            p = pos[sub, t]
+            flat[row_starts + column[p]] = table[p * width + digit]
+        for p, d in zip(pos[0].tolist(), lead):
+            rows[:, column[p]] = table[p * width + d]
+        yield rows
 
 
-def shell_pieces(m: int, r: int, radius: int, block: int) -> Iterator[tuple[np.ndarray, tuple]]:
-    """The ball's sub-grids in ball_chunks order, at most `block` points each.
+def shell_pieces(
+    radix: Sequence[int], radius: int, block: int
+) -> Iterator[tuple[np.ndarray, tuple]]:
+    """The ball's sub-grids in ball order, at most `block` points each.
 
-    For m movable coordinates with r alternatives each, and r <= block.  A
-    piece is (pos, lead): a (subsets, rho) array of changed positions (0..m-1,
-    in lexicographic order), and the replacement digits fixed for their
-    leading positions; its points run over the rows of pos, then over the
-    remaining digits with the last position fastest.  Whole subsets are
-    batched while their points (r^rho each) and their digit choices
-    (rho * r each) fit a block, one subset at least; a subset of more
-    points is split on its leading digits, iterated lazily.
+    radix lists each movable coordinate's number of alternatives (>= 1);
+    the numbers may differ.  A piece is (pos, lead): a (subsets, rho) array
+    of changed positions (indices into radix, in lexicographic order), and
+    the replacement digits fixed for their leading positions; its points
+    run over the rows of pos, then over the remaining digits, each over its
+    position's radix, the last position fastest.  Whole subsets are batched
+    while their points fit a block, at most block // (rho * max(radix)) of
+    them and one at least; a subset of more points is split on its leading
+    digits, iterated lazily.
     """
     yield np.zeros((1, 0), dtype=np.int64), ()
-    for rho in range(1, min(radius, m) + 1):
-        subsets = combinations(range(m), rho)
-        if r**rho <= block:
-            while batch := list(islice(subsets, max(1, block // max(r**rho, rho * r)))):
-                yield np.array(batch, dtype=np.int64), ()
-            continue
-        tail = 0
-        while r ** (tail + 1) <= block:
-            tail += 1
-        for s in subsets:
-            pos = np.array([s], dtype=np.int64)
-            for lead in product(range(r), repeat=rho - tail):
-                yield pos, lead
+    # radices clipped at block + 1: a float product is exact up to block,
+    # and one past float range (60 or more wide positions) saturates as inf
+    clipped = np.minimum(np.array(radix, dtype=np.float64), block + 1)
+    uniform = len(set(radix)) <= 1
+    for rho in range(1, min(radius, len(radix)) + 1):
+        most = max(1, block // (rho * max(radix)))
+        subsets = combinations(range(len(radix)), rho)
+        batch: list[tuple[int, ...]] = []
+        while (more := list(islice(subsets, block))) or batch:
+            batch += more
+            pos = np.fromiter(chain.from_iterable(batch), np.int64, len(batch) * rho)
+            pos = pos.reshape(len(batch), rho)
+            # points per subset, saturated at block + 1; uniform radices
+            # need no product, which keeps small shells cheap
+            if uniform:
+                counts = [min(radix[0] ** rho, block + 1)] * len(batch)
+            else:
+                counts = np.minimum(clipped[pos].prod(axis=1), block + 1)
+                counts = counts.astype(np.int64).tolist()
+            ends = [0, *accumulate(counts)]
+            i = 0
+            while i < len(batch):
+                if ends[i + 1] - ends[i] <= block:
+                    j = min(bisect_right(ends, ends[i] + block, i + 1) - 1, i + most)
+                    if j == len(batch) and j - i < most and len(more) == block:
+                        break  # the piece may take subsets of the next batch
+                    yield pos[i:j], ()
+                    i = j
+                    continue
+                r = [radix[p] for p in batch[i]]
+                lead, tail_points = rho, 1
+                while lead and tail_points * r[lead - 1] <= block:
+                    lead -= 1
+                    tail_points *= r[lead]
+                for digits in product(*map(range, r[:lead])):
+                    yield pos[i : i + 1], digits
+                i += 1
+            del batch[:i]
 
 
 def piece_sums(

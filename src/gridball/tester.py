@@ -165,7 +165,8 @@ def select_radius(
                       and an anchor without zero coordinates; floor(log2 M)
       zero-domain     domain {0,a_1}x..x{0,a_N}, anchor the all-nonzero
                       corner, and value at the origin nonzero (checked by
-                      spending one evaluation); floor(log2 M)
+                      spending one evaluation, unless degree-bounded
+                      applies and gives the same radius); floor(log2 M)
     """
     anchor = tuple(anchor)
     if not domain.contains(anchor):
@@ -175,14 +176,17 @@ def select_radius(
     if not domain.contains_zero:
         r = max_ratio_order(domain.sets)
         candidates.append((radius_general(oracle.bound, r, n), RULE_RATIO_ORDER))
-    if (
+    degree_bounded = (
         oracle.poly is not None
         and all(oracle.poly.degree_in_variable(i) < len(domain.sets[i]) for i in range(n))
         and all(a.index != 0 for a in anchor)
-    ):
+    )
+    if degree_bounded:
         candidates.append((min(radius_degree_bounded(oracle.bound), n), RULE_DEGREE_BOUNDED))
     vertex = domain.zero_paired_vertex()
-    if vertex is not None and anchor == vertex:
+    # the zero-domain rule gives the degree-bounded radius, so its origin
+    # evaluation is spent only when that rule does not apply
+    if not degree_bounded and vertex is not None and anchor == vertex:
         origin = (oracle.field.zero,) * n
         if oracle.evaluate(origin).index != 0:
             candidates.append((min(radius_degree_bounded(oracle.bound), n), RULE_ZERO_DOMAIN))
@@ -204,14 +208,16 @@ def _scan_ball(
 
     Bills the oracle what a sequential tester pays, whatever the batching:
     the witness's ball rank + 1, or the ball's point count when there is
-    none.  An oracle built from its polynomial on a domain whose movable
-    coordinates all have the same number r of alternatives, with r * terms
-    at most _WORK_ELEMS, is scanned by _scan_shells; every other oracle
-    row by row from ball_chunks.  Ragged domains keep the rows because
-    there every position subset would be its own small tensor: on 128-term
-    polys over GF(2^8) and GF(2^12), per-subset outer sums took about twice
-    the time of ball_chunks plus evaluate_many.  Only the witness is built
-    as FieldElements.
+    none.  Both routes walk the pieces of shell_pieces.  An oracle built
+    from its polynomial on a domain whose movable coordinates all have the
+    same number r of alternatives, with r * terms at most _WORK_ELEMS, is
+    scanned by _scan_shells; every other oracle gets the rows ball_chunks
+    decodes, at most _CHUNK of them and _WORK_ELEMS coordinates a block,
+    so wide domains stay small.  Ragged domains keep the rows because there
+    every position subset would be its own small tensor: on 128-term polys
+    over GF(2^8) and GF(2^12), per-subset outer sums took about twice the
+    time of ball_chunks plus evaluate_many.  Only the witness is built as
+    FieldElements.
     """
     poly = oracle.poly
     alts = alternatives(anchor, domain)
@@ -225,7 +231,8 @@ def _scan_ball(
         witness, scanned = _scan_shells(poly, anchor, alts, radius)
     else:
         witness, scanned = None, 0
-        for rows in ball_chunks(anchor, radius, domain, _CHUNK):
+        size = min(_CHUNK, max(1, _WORK_ELEMS // max(1, domain.nvars)))
+        for rows in ball_chunks(anchor, radius, domain, size):
             nz = np.flatnonzero(oracle._batch(rows))
             if nz.size:
                 witness = tuple(FieldElement(domain.field, i) for i in rows[nz[0]].tolist())
@@ -278,7 +285,7 @@ def _scan_shells(
         )
     exp = f._exp_addends
     done = 0
-    for pos, lead in shell_pieces(m, r, radius, _WORK_ELEMS // max(1, len(log_coeffs))):
+    for pos, lead in shell_pieces([r] * m, radius, _WORK_ELEMS // max(1, len(log_coeffs))):
         lead = np.array(lead, dtype=np.int64)
         vals = piece_sums(em, dlog, base, pos, lead, order)
         vals -= vals // order * order  # faster than % on int64

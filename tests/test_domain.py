@@ -168,47 +168,72 @@ def test_ball_chunks_match_itertools_order(size):
             assert np.concatenate(chunks).tolist() == want
 
 
+def _piece_points(pos, lead, radix):
+    """(subset, digits) of each point of a shell_pieces piece, in its order."""
+    for subset in pos.tolist():
+        for digits in product(*(range(radix[j]) for j in subset[len(lead) :])):
+            yield subset, [*lead, *digits]
+
+
 @pytest.mark.parametrize("block", [1, 5, 40, 2048])
 def test_shell_pieces_follow_the_ball_order(block):
     # the pieces, each expanded with its last position fastest, are the
-    # ball in ball_chunks order on domains whose movable coordinates
-    # share a radix r <= block; piece_point and piece_sums see the same
-    # points in the same order
+    # ball in itertools order, on uniform and ragged radix lists: whole
+    # subsets are batched while their points and the subset cap allow, and
+    # larger subsets split on as few leading digits as fit; on uniform
+    # lists piece_point and piece_sums see the same points in that order
     rng = random.Random(f"pieces/{block}")
     f = make_field(7)
-    for _ in range(30):
+    for trial in range(60):
         n = rng.randint(1, 6)
+        uniform = trial % 2 == 0
         r = rng.randint(1, min(block, 4))
-        sets = [rng.sample(range(f.q), 1 if rng.random() < 0.2 else r + 1) for _ in range(n)]
+        sizes = [r + 1 if uniform else rng.randint(2, 7) for _ in range(n)]
+        sets = [rng.sample(range(f.q), 1 if rng.random() < 0.2 else s) for s in sizes]
         dom = RectangularDomain(f, [[f.element(i) for i in a] for a in sets])
         center = tuple(f.element(rng.choice(a)) for a in sets)
         movable = [i for i, a in enumerate(dom.sets) if len(a) > 1]
         alternatives = [[x.index for x in dom.sets[i] if x != center[i]] for i in movable]
+        radix = [len(a) for a in alternatives]
         for radius in range(n + 1):
             factor = np.array([rng.randrange(-9, 10) for _ in range(2 * len(movable))])
             factor = factor.reshape(2, len(movable))
             table = np.array([rng.randrange(-99, 100) for _ in range(len(movable) * r)])
             table = table.reshape(len(movable), r)
+            pieces = list(shell_pieces(radix, radius, block))
             got = []
-            for pos, lead in shell_pieces(len(movable), r, radius, block):
-                tail = pos.shape[1] - len(lead)
-                assert len(pos) * max(r**tail, tail * r) <= block or len(pos) == 1
-                lead_arr = np.array(lead, dtype=np.int64)
-                sums = piece_sums(factor, table, np.array([5, 7]), pos, lead_arr, 13)
-                k = 0
-                for subset in pos.tolist():
-                    for digits in product(range(r), repeat=tail):
-                        changes = list(zip(subset, lead + digits))
-                        assert piece_point(pos, lead_arr, r, k) == (subset, list(lead + digits))
+            for k, (pos, lead) in enumerate(pieces):
+                rho = pos.shape[1]
+                points = list(_piece_points(pos, lead, radix))
+                assert 1 <= len(points) <= block
+                if lead:
+                    # one subset of more than `block` points, its tail as
+                    # long as fits
+                    assert len(pos) == 1 and math.prod(radix[j] for j in pos[0]) > block
+                    assert radix[pos[0, len(lead) - 1]] * len(points) > block
+                elif rho:
+                    most = max(1, block // (rho * max(radix)))
+                    assert len(pos) <= most
+                    nxt, nxt_lead = pieces[k + 1] if k + 1 < len(pieces) else (pos[:0], ())
+                    if len(nxt) and nxt.shape[1] == rho and not nxt_lead:
+                        # the batch stopped where the next subset did not fit
+                        more = math.prod(radix[j] for j in nxt[0])
+                        assert len(points) + more > block or len(pos) == most
+                if uniform:
+                    lead_arr = np.array(lead, dtype=np.int64)
+                    sums = piece_sums(factor, table, np.array([5, 7]), pos, lead_arr, 13)
+                    assert sums.shape[1] == len(points)
+                for at, (subset, digits) in enumerate(points):
+                    changes = list(zip(subset, digits))
+                    if uniform:
+                        assert piece_point(pos, lead_arr, r, at) == (subset, digits)
                         steps = [factor[:, j] * table[j, d] % 13 for j, d in changes]
-                        assert sums[:, k].tolist() == (np.array([5, 7]) + sum(steps)).tolist()
-                        point = [x.index for x in center]
-                        for j, d in changes:
-                            point[movable[j]] = alternatives[j][d]
-                        got.append(point)
-                        k += 1
-                assert sums.shape[1] == k
-            want = np.concatenate(list(ball_chunks(center, radius, dom, 2048))).tolist()
+                        assert sums[:, at].tolist() == (np.array([5, 7]) + sum(steps)).tolist()
+                    point = [x.index for x in center]
+                    for j, d in changes:
+                        point[movable[j]] = alternatives[j][d]
+                    got.append(point)
+            want = [[x.index for x in pt] for pt in _itertools_ball(center, radius, dom)]
             assert got == want
 
 

@@ -154,6 +154,21 @@ def test_select_radius_zero_domain_literal_m4(f5):
     assert (k, rule) == (2, "zero-domain")
 
 
+def test_degree_bounded_corner_spends_no_origin_evaluation(f5):
+    # X1 + 1 at the corner (4, 2, 3) of {0,4}x{0,2}x{0,3}: the degree-bounded
+    # rule gives the zero-domain rule's radius, so the origin is not
+    # evaluated, and the witness at ball rank 1 costs 2 evaluations
+    dom = RectangularDomain(f5, [[f5.zero, f5.element(a)] for a in (4, 2, 3)])
+    anchor = dom.zero_paired_vertex()
+    p = SparsePoly.variable(f5, 3, 0) + SparsePoly.one(f5, 3)
+    oracle = EvaluationOracle.from_poly(p)
+    assert select_radius(oracle, dom, anchor) == (1, "degree-bounded")
+    assert oracle.count == 0
+    rep = find_nonzero_near(p, anchor, dom)
+    assert (rep.theorem, rep.distance, rep.evaluations) == ("degree-bounded", 1, 2)
+    assert rep.witness == (f5.zero, f5.element(2), f5.element(3))
+
+
 def test_select_radius_errors(f5):
     dom = RectangularDomain(f5, [[f5.zero, f5.one], [f5.zero, f5.one]])
     oracle = EvaluationOracle(f5, 2, 4, lambda pts: np.ones(len(pts), dtype=np.int64))
@@ -487,6 +502,28 @@ def test_shell_scan_of_a_wide_radix_stays_within_its_blocks(monkeypatch, nterms)
     # a table over all 16 x 1023 steps would take 7.5 MiB at 60 terms
     assert peaks[0] < 6 * 2**20
     assert seconds[0] < 3 * seconds[1] + 0.05
+
+
+def test_wide_domain_scans_stay_within_the_work_limit():
+    # N = 4000 over GF(3) on {1,2}^N, radius 1: the row route decodes
+    # blocks of _WORK_ELEMS // N rows, not 2048 rows of 4000 coordinates
+    # (about 190 MiB per scan), for a black box and for a system
+    f = make_field(3)
+    n = 4000
+    dom = RectangularDomain.power(f, [f.one, f.element(2)], n)
+    anchor = (f.one,) * n
+    # X1^2 - 1 vanishes on {1, 2}; a lone monomial is never zero there
+    square = SparsePoly(f, n, {(2,) + (0,) * (n - 1): f.one, (0,) * n: f.element(2)})
+    box = EvaluationOracle(f, n, 2, lambda rows: square.evaluate_many(rows))
+    system = PolySystem([SparsePoly.variable(f, n, 0)])
+    runs = [lambda: run_zero_test(box, dom.sets[0], n), lambda: solve_near(system, anchor, dom)]
+    for run, verdict in zip(runs, ["vanishes", "no-solution"]):
+        tracemalloc.start()
+        rep = run()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert (rep.verdict, rep.radius, rep.evaluations) == (verdict, 1, 1 + n)
+        assert peak < 16 * 2**20
 
 
 # -- billing ---------------------------------------------------------------------
