@@ -725,8 +725,11 @@ def run_verification_suite(
     """Run every randomized bound suite; deterministic for a given seed.
 
     Returns a JSON-ready report with per-suite instance counts, failure
-    counts, and up to three serialized counterexamples per suite.
+    counts, and up to three serialized counterexamples per suite; an empty
+    suite would pass while checking nothing, so per_theorem must be >= 1.
     """
+    if per_theorem < 1:
+        raise ValueError(f"per-theorem count must be >= 1, got {per_theorem}")
     specs = [make_field(p, k) for p, k in fields]
     suites_report = {}
     all_pass = True

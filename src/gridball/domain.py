@@ -183,9 +183,8 @@ def shell_pieces(
     the replacement digits fixed for their leading positions; its points
     run over the rows of pos, then over the remaining digits, each over its
     position's radix, the last position fastest.  Whole subsets are batched
-    while their points fit a block, at most block // (rho * max(radix)) of
-    them and one at least; a subset of more points is split on its leading
-    digits, iterated lazily.
+    while their points fit a block; a subset of more points is split on its
+    leading digits, iterated lazily.
     """
     yield np.zeros((1, 0), dtype=np.int64), ()
     # radices clipped at block + 1: a float product is exact up to block,
@@ -193,7 +192,6 @@ def shell_pieces(
     clipped = np.minimum(np.array(radix, dtype=np.float64), block + 1)
     uniform = len(set(radix)) <= 1
     for rho in range(1, min(radius, len(radix)) + 1):
-        most = max(1, block // (rho * max(radix)))
         subsets = combinations(range(len(radix)), rho)
         batch: list[tuple[int, ...]] = []
         while (more := list(islice(subsets, block))) or batch:
@@ -211,8 +209,8 @@ def shell_pieces(
             i = 0
             while i < len(batch):
                 if ends[i + 1] - ends[i] <= block:
-                    j = min(bisect_right(ends, ends[i] + block, i + 1) - 1, i + most)
-                    if j == len(batch) and j - i < most and len(more) == block:
+                    j = bisect_right(ends, ends[i] + block, i + 1) - 1
+                    if j == len(batch) and ends[j] - ends[i] < block and len(more) == block:
                         break  # the piece may take subsets of the next batch
                     yield pos[i:j], ()
                     i = j

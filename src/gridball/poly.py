@@ -266,21 +266,6 @@ class SparsePoly:
 
     # -- reductions ---------------------------------------------------------------------
 
-    def reduce_exponents_mod(self, d: int) -> "SparsePoly":
-        """Replace every exponent e by e mod d, summing collided coefficients.
-
-        This is the remainder modulo (X_1^d - 1, .., X_N^d - 1); it agrees
-        with the original on S^N for any multiplicative subgroup S of order d.
-        """
-        if d < 1:
-            raise ValueError("modulus must be >= 1")
-        f = self.field
-        out: dict[Exponents, int] = {}
-        for exps, c in self.terms.items():
-            e = tuple(x % d for x in exps)
-            out[e] = f.add_index(out.get(e, 0), c.index)
-        return SparsePoly(f, self.nvars, {e: FieldElement(f, v) for e, v in out.items()})
-
     def reduce_mod_domain(self, domain: "RectangularDomain") -> "SparsePoly":
         """Normal form modulo the vanishing ideal of a rectangular domain.
 
@@ -299,17 +284,14 @@ class SparsePoly:
         reps = [_PowerReduction(f, domain.sets[i]) for i in range(self.nvars)]
         out: dict[Exponents, int] = {}
         for exps, c in self.terms.items():
-            partial: dict[Exponents, int] = {(): c.index}
+            # one term expands as an outer product of its variables' normal
+            # forms: its prefixes never repeat and a product of nonzero
+            # indices is nonzero, so fields add only where terms merge
+            partial = [((), c.index)]
             for i, e in enumerate(exps):
-                vec = reps[i].rep(e)
-                nxt: dict[Exponents, int] = {}
-                for prefix, pc in partial.items():
-                    for j, rc in enumerate(vec):
-                        if rc:
-                            key = prefix + (j,)
-                            nxt[key] = f.add_index(nxt.get(key, 0), f.mul_index(pc, rc))
-                partial = {k: v for k, v in nxt.items() if v}
-            for key, v in partial.items():
+                vec = [(j, rc) for j, rc in enumerate(reps[i].rep(e)) if rc]
+                partial = [(key + (j,), f.mul_index(pc, rc)) for key, pc in partial for j, rc in vec]
+            for key, v in partial:
                 out[key] = f.add_index(out.get(key, 0), v)
         return SparsePoly(f, self.nvars, {e: FieldElement(f, v) for e, v in out.items()})
 

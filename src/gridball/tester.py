@@ -284,8 +284,9 @@ def _scan_shells(
             (alt == 0).astype(np.int64) - (cm == 0)[:, None],
         )
     exp = f._exp_addends
+    block = _WORK_ELEMS // max(1, len(log_coeffs))
     done = 0
-    for pos, lead in shell_pieces([r] * m, radius, _WORK_ELEMS // max(1, len(log_coeffs))):
+    for pos, lead in _capped(shell_pieces([r] * m, radius, block), block // r):
         lead = np.array(lead, dtype=np.int64)
         vals = piece_sums(em, dlog, base, pos, lead, order)
         vals -= vals // order * order  # faster than % on int64
@@ -301,6 +302,17 @@ def _scan_shells(
             return tuple(point), done + int(nz[0]) + 1
         done += vals.shape[1]
     return None, done
+
+
+def _capped(pieces, limit: int):
+    """The pieces, in runs of at most limit // rho subsets (one at least).
+    piece_sums builds terms * subsets * rho * r steps; limit = block // r
+    keeps them within terms * block, which a piece of block points ensures
+    alone only when r >= 2, where a subset's r^rho points are >= rho * r."""
+    for pos, lead in pieces:
+        step = max(1, limit // max(1, pos.shape[1]))
+        for lo in range(0, len(pos), step):
+            yield pos[lo : lo + step], lead
 
 
 def _search(

@@ -417,6 +417,15 @@ def test_verify_bounds(capsys):
     assert "all bounds hold" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_bounds_rejects_an_empty_suite(capsys, count):
+    # a suite of no instances checks nothing, so it must not pass
+    code = main(["verify-bounds", "--per-theorem", count])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == f"error: per-theorem count must be >= 1, got {count}\n"
+
+
 def test_reports_are_byte_identical(tmp_path, capsys, fermat_files, system_file):
     poly, dom = fermat_files
     outs = []

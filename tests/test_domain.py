@@ -179,9 +179,9 @@ def _piece_points(pos, lead, radix):
 def test_shell_pieces_follow_the_ball_order(block):
     # the pieces, each expanded with its last position fastest, are the
     # ball in itertools order, on uniform and ragged radix lists: whole
-    # subsets are batched while their points and the subset cap allow, and
-    # larger subsets split on as few leading digits as fit; on uniform
-    # lists piece_point and piece_sums see the same points in that order
+    # subsets are batched while their points fit, and larger subsets split
+    # on as few leading digits as fit; on uniform lists piece_point and
+    # piece_sums see the same points in that order
     rng = random.Random(f"pieces/{block}")
     f = make_field(7)
     for trial in range(60):
@@ -212,13 +212,11 @@ def test_shell_pieces_follow_the_ball_order(block):
                     assert len(pos) == 1 and math.prod(radix[j] for j in pos[0]) > block
                     assert radix[pos[0, len(lead) - 1]] * len(points) > block
                 elif rho:
-                    most = max(1, block // (rho * max(radix)))
-                    assert len(pos) <= most
-                    nxt, nxt_lead = pieces[k + 1] if k + 1 < len(pieces) else (pos[:0], ())
-                    if len(nxt) and nxt.shape[1] == rho and not nxt_lead:
+                    nxt = pieces[k + 1][0] if k + 1 < len(pieces) else pos[:0]
+                    if len(nxt) and nxt.shape[1] == rho:
                         # the batch stopped where the next subset did not fit
                         more = math.prod(radix[j] for j in nxt[0])
-                        assert len(points) + more > block or len(pos) == most
+                        assert len(points) + more > block
                 if uniform:
                     lead_arr = np.array(lead, dtype=np.int64)
                     sums = piece_sums(factor, table, np.array([5, 7]), pos, lead_arr, 13)
@@ -235,6 +233,23 @@ def test_shell_pieces_follow_the_ball_order(block):
                     got.append(point)
             want = [[x.index for x in pt] for pt in _itertools_ball(center, radius, dom)]
             assert got == want
+
+
+@pytest.mark.parametrize(
+    "radix,radius,block",
+    [([2, 1] * 4000, 1, 8), ([1] * 30, 2, 8), ([1] * 12, 3, 100), ([3, 1, 1, 2] * 5, 2, 16)],
+    ids=["wide-ragged", "radix-1-pairs", "radix-1-triples", "ragged"],
+)
+def test_shell_pieces_fill_every_block(radix, radius, block):
+    # a piece ends its shell or stops where the next subset does not fit,
+    # however many subsets it holds and whatever their radices
+    pieces = list(shell_pieces(radix, radius, block))
+    points = [len(list(_piece_points(pos, lead, radix))) for pos, lead in pieces]
+    for (pos, lead), (nxt, _), size in zip(pieces, pieces[1:], points):
+        if not lead and nxt.shape[1] == pos.shape[1]:
+            assert size + math.prod(radix[j] for j in nxt[0]) > block
+    subsets = (s for rho in range(radius + 1) for s in combinations(range(len(radix)), rho))
+    assert sum(points) == sum(math.prod(radix[j] for j in s) for s in subsets)
 
 
 def test_ball_chunks_first_chunk_of_a_huge_ball():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import gridball.poly as poly_module
 from gridball.domain import RectangularDomain
-from gridball.gf import make_field
+from gridball.gf import make_field, subgroup_of_order
 from gridball.poly import SparsePoly
 
 from conftest import naive_evaluate
@@ -175,34 +175,27 @@ def test_incompatible_operands_rejected(f5, f7):
         SparsePoly.one(f5, 2) * SparsePoly.one(f7, 2)
 
 
-# -- exponent reduction ---------------------------------------------------------------
+# -- subgroup reduction ------------------------------------------------------------------
 
 
-def test_reduce_exponents_mod_noop_below_modulus(f5):
-    p = SparsePoly(f5, 2, {(2, 1): f5.one, (0, 2): f5.element(3)})
-    assert p.reduce_exponents_mod(3) == p
-
-
-def test_reduce_exponents_mod_gf4_cube(f4):
-    # X1^3 -> 1, and the reduction agrees on the order-3 subgroup {1, w, w^2}
-    p = SparsePoly(f4, 1, {(3,): f4.one})
-    r = p.reduce_exponents_mod(3)
-    assert r.terms == {(0,): f4.one}
-    for i in (1, 2, 3):
-        x = (f4.element(i),)
-        assert r.evaluate(x) == p.evaluate(x)
-
-
-def test_reduce_exponents_mod_collision_sums(f3):
-    # X^d + X^2d collapses to exponent 0 with coefficient 1+1 = 2
-    d = 3
-    p = SparsePoly(f3, 1, {(d,): f3.one, (2 * d,): f3.one})
-    assert p.reduce_exponents_mod(d).terms == {(0,): f3.element(2)}
-
-
-def test_reduce_exponents_mod_rejects_bad_modulus(f3):
-    with pytest.raises(ValueError):
-        SparsePoly.one(f3, 1).reduce_exponents_mod(0)
+@pytest.mark.parametrize("p,k", [(2, 2), (7, 1), (13, 1), (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_reduce_mod_domain_on_a_subgroup_reads_exponents_mod_its_order(p, k):
+    # on H^N, H the subgroup of order d, X^d = 1: the normal form replaces
+    # every exponent e by e mod d and sums the coefficients that collide,
+    # so it never has more monomials than the input
+    f = make_field(p, k)
+    rng = random.Random(f"subgroup/{p}/{k}")
+    for d in (d for d in range(1, f.q) if (f.q - 1) % d == 0):
+        dom = RectangularDomain.power(f, subgroup_of_order(f, d), rng.randint(1, 3))
+        for _ in range(4):
+            poly = _random_poly(rng, f, dom.nvars, max_terms=8, max_exp=3 * f.q)
+            want: dict = {}
+            for exps, c in poly.terms.items():
+                e = tuple(x % d for x in exps)
+                want[e] = want.get(e, f.zero) + c
+            r = poly.reduce_mod_domain(dom)
+            assert r == SparsePoly(f, dom.nvars, want)
+            assert r.monomial_count() <= poly.monomial_count()
 
 
 # -- domain reduction --------------------------------------------------------------------
@@ -373,12 +366,6 @@ _terms2 = st.dictionaries(
 
 def _build(terms):
     return SparsePoly(_F5, 2, {e: _F5.element(c) for e, c in terms.items()})
-
-
-@given(_terms2, st.integers(1, 9))
-def test_exponent_reduction_never_grows(terms, d):
-    p = _build(terms)
-    assert p.reduce_exponents_mod(d).monomial_count() <= p.monomial_count()
 
 
 @given(_terms2, _terms2, st.integers(0, 4), st.integers(0, 4))

@@ -504,6 +504,32 @@ def test_shell_scan_of_a_wide_radix_stays_within_its_blocks(monkeypatch, nterms)
     assert seconds[0] < 3 * seconds[1] + 0.05
 
 
+def test_shell_scan_of_radix_1_keeps_its_steps_within_the_work_limit(monkeypatch):
+    # {1, 2}^40 over GF(7): one alternative a coordinate, so a subset is
+    # one point and a block of points holds rho times as many steps; the
+    # scan's own subset cap keeps piece_sums' (terms, subsets, rho, r)
+    # steps within _WORK_ELEMS
+    f = make_field(7)
+    n = 40
+    rng = random.Random(40)
+    dom = RectangularDomain.power(f, [f.one, f.element(2)], n)
+    g = {tuple(rng.randrange(4) for _ in range(n)): f.element(rng.randrange(1, 7)) for _ in range(50)}
+    # X1^6 - 1 vanishes on {1, 2}, so the whole ball is scanned
+    poly = SparsePoly(f, n, g) * (SparsePoly.variable(f, n, 0) ** 6 - SparsePoly.one(f, n))
+    steps = []
+    sums = tester.piece_sums
+
+    def recorded(factor, table, start, pos, lead, mod=None):
+        steps.append(factor.shape[0] * pos.shape[0] * (pos.shape[1] - len(lead)) * table.shape[1])
+        return sums(factor, table, start, pos, lead, mod)
+
+    monkeypatch.setattr(tester, "piece_sums", recorded)
+    oracle = EvaluationOracle.from_poly(poly)
+    assert tester._scan_ball(oracle, dom, (f.one,) * n, 3) is None
+    assert oracle.count == vol(2, n, 3)
+    assert tester._WORK_ELEMS // 2 < max(steps) <= tester._WORK_ELEMS
+
+
 def test_wide_domain_scans_stay_within_the_work_limit():
     # N = 4000 over GF(3) on {1,2}^N, radius 1: the row route decodes
     # blocks of _WORK_ELEMS // N rows, not 2048 rows of 4000 coordinates
