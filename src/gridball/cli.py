@@ -50,7 +50,8 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _load_poly(config: RunConfig) -> SparsePoly:
+def _load_poly(config: RunConfig, domain: RectangularDomain) -> SparsePoly:
+    """The --poly file; text is read in the domain's variables, so x_i past them fails at once."""
     if config.poly_path is None:
         raise ValueError("this command needs --poly FILE")
     with open(config.poly_path, "r", encoding="utf-8") as fh:
@@ -61,7 +62,7 @@ def _load_poly(config: RunConfig) -> SparsePoly:
     else:
         if config.field is None:
             raise ValueError("text polynomial files need --field GF(p^k)")
-        p = SparsePoly.from_text(parse_field_name(config.field), stripped.strip())
+        p = SparsePoly.from_text(parse_field_name(config.field), stripped.strip(), domain.nvars)
     _check_field(config, p.field)
     return p
 
@@ -100,8 +101,8 @@ def _base_report(config: RunConfig) -> dict:
 
 def cmd_test_zero(config: RunConfig) -> tuple[int, dict]:
     """Decide vanishing on S^N; exit 0 = vanishes, 1 = witness found."""
-    p = _load_poly(config)
     domain = _load_domain(config)
+    p = _load_poly(config, domain)
     if not domain.is_power:
         raise ValueError("test-zero needs a power domain (all coordinate sets equal)")
     if domain.nvars != p.nvars:
@@ -131,8 +132,8 @@ def cmd_test_zero(config: RunConfig) -> tuple[int, dict]:
 
 def cmd_find_nonzero(config: RunConfig) -> tuple[int, dict]:
     """Nearest-nonzero search; exit 0 = vanishes on the domain, 1 = witness."""
-    p = _load_poly(config)
     domain = _load_domain(config)
+    p = _load_poly(config, domain)
     anchor = _parse_anchor(config, domain)
     rep = find_nonzero_near(p, anchor, domain, bound=config.bound)
     report = _base_report(config)
@@ -197,8 +198,8 @@ def cmd_solve_system(config: RunConfig) -> tuple[int, dict]:
 
 def cmd_reduce(config: RunConfig) -> tuple[int, dict]:
     """Reduce a polynomial to its normal form on a domain; exit 0 on success."""
-    p = _load_poly(config)
     domain = _load_domain(config)
+    p = _load_poly(config, domain)
     if domain.nvars != p.nvars:
         raise ValueError(f"polynomial has {p.nvars} variables, domain has {domain.nvars}")
     reduced = p.reduce_mod_domain(domain)

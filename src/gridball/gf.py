@@ -6,7 +6,10 @@ degree first.  Index 0 is the zero element, index 1 the one element, and for
 extension fields index p is the image of X modulo the field's irreducible.
 
 Multiplication runs on precomputed exp/log tables keyed by a fixed generator
-of the multiplicative group (the smallest-index element of full order).
+of the multiplicative group (the smallest-index element of full order).  Each
+table is one int64 array, stored once: the vectorized operations index it
+with arrays, and the scalar ones read it with .item(), so a scalar result is
+always a Python int.
 Addition is digit-wise mod p on the index, in one of three regimes: XOR for
 p = 2, a sum mod p for k = 1, and for odd p with k > 1 a plain integer sum of
 packed indices, each base-p digit in its own bit field where it cannot carry,
@@ -202,8 +205,6 @@ class FieldSpec:
         "generator_index",
         "_exp",
         "_log",
-        "_exp_arr",
-        "_log_arr",
         "_digit_fields",
         "_packed_arr",
         "_exp_addends",
@@ -257,10 +258,8 @@ class FieldSpec:
         exp = place @ cols
         log = np.zeros(q, dtype=np.int64)  # log[0] is a placeholder, never valid
         log[exp] = np.arange(q - 1)
-        self._exp = exp.tolist()
-        self._log = log.tolist()
-        self._exp_arr = exp
-        self._log_arr = log
+        self._exp = exp
+        self._log = log
         # the packed form of each index: base-p digit j, of place value p^j,
         # in the bit field of 63 // k bits that starts at bit 63 // k * j
         self._digit_fields = [(63 // k * j, p**j) for j in range(k)]
@@ -309,12 +308,12 @@ class FieldSpec:
     def mul_index(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._exp.item((self._log.item(a) + self._log.item(b)) % (self.q - 1))
 
     def inv_index(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("division by the zero element")
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self._exp.item(-self._log.item(a) % (self.q - 1))
 
     def pow_index(self, a: int, e: int) -> int:
         """Square-and-multiply power of an index; negative e inverts first."""
@@ -367,7 +366,7 @@ class FieldSpec:
         return self._unpack(a.sum(axis=-1))
 
     def vec_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        prod = self._exp_arr[(self._log_arr[a] + self._log_arr[b]) % (self.q - 1)]
+        prod = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
         return np.where((a == 0) | (b == 0), 0, prod)
 
     def vec_pow(self, a: np.ndarray, e: int) -> np.ndarray:
@@ -376,7 +375,7 @@ class FieldSpec:
         if e == 0:
             return np.ones_like(a)
         er = e % (self.q - 1)
-        powed = self._exp_arr[(self._log_arr[a] * er) % (self.q - 1)]
+        powed = self._exp[(self._log[a] * er) % (self.q - 1)]
         return np.where(a == 0, 0, powed)
 
     # -- elements --------------------------------------------------------------
@@ -465,7 +464,7 @@ def mul_order(x: FieldElement) -> int:
     if x.index == 0:
         raise ValueError("the zero element has no multiplicative order")
     f = x.field
-    return (f.q - 1) // math.gcd(f.q - 1, f._log[x.index])
+    return (f.q - 1) // math.gcd(f.q - 1, f._log.item(x.index))
 
 
 def max_ratio_order(sets: Iterable[Iterable[FieldElement]]) -> int:
@@ -484,7 +483,7 @@ def max_ratio_order(sets: Iterable[Iterable[FieldElement]]) -> int:
         for x in elems:
             if x.index == 0:
                 raise ValueError("ratio orders require zero-free sets")
-            logs.append(f._log[x.index])
+            logs.append(f._log.item(x.index))
         n = f.q - 1
         for i in range(len(logs)):
             for j in range(i + 1, len(logs)):
@@ -497,4 +496,4 @@ def subgroup_of_order(spec: FieldSpec, d: int) -> set[FieldElement]:
     if d < 1 or (spec.q - 1) % d != 0:
         raise ValueError(f"{d} does not divide q-1 = {spec.q - 1}")
     step = (spec.q - 1) // d
-    return {FieldElement(spec, spec._exp[(step * j) % (spec.q - 1)]) for j in range(d)}
+    return {FieldElement(spec, spec._exp.item(step * j)) for j in range(d)}

@@ -139,13 +139,13 @@ class SparsePoly:
             acc = f.add_index(acc, t)
         return FieldElement(f, acc)
 
-    def _log_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Exponents and supports (nvars x terms) and coefficient logs, built once.
+    def _log_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exponents (nvars x terms) and coefficient logs, built once.
 
         Each exponent is folded by _fold in Python integers, which keeps x^e
-        for every x, zero included.  The exponents are float64 when every
-        sum of evaluate_many's matrix product stays below 2^53, so the
-        product is exact and runs on BLAS.
+        for every x, zero included, and keeps nonzero exponents positive.
+        The exponents are float64 when every sum of evaluate_many's matrix
+        products stays below 2^53, so the products are exact and on BLAS.
         """
         if self._log_form is None:
             f = self.field
@@ -155,9 +155,8 @@ class SparsePoly:
                 [[_fold(e, order) for e in ex] for ex in self.terms],
                 dtype=dtype,
             ).reshape(len(self.terms), self.nvars)
-            exps = np.ascontiguousarray(exps.T)
-            log_coeffs = np.array([f._log[c.index] for c in self.terms.values()], dtype=np.int64)
-            self._log_form = (exps, (exps > 0).astype(np.float32), log_coeffs)
+            coeffs = np.array([c.index for c in self.terms.values()], dtype=np.int64)
+            self._log_form = (np.ascontiguousarray(exps.T), f._log[coeffs])
         return self._log_form
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
@@ -165,24 +164,25 @@ class SparsePoly:
 
         Works in the log domain: a term's log is log c + sum e_i log x_i
         mod (q-1), one matrix product for all points and a block of terms.
-        Terms whose support meets a zero coordinate are zeroed, the rest
-        gathered through exp as addends and summed with sum_addends.  Each
-        points x terms array holds at most _WORK_ELEMS elements.
+        A term is zeroed where its exponents over the zero coordinates sum
+        above 0; the rest are gathered through exp as addends and summed by
+        sum_addends, and vec_sum merges the term blocks.  Each points x
+        terms array holds at most _WORK_ELEMS elements.
         """
         if points.ndim != 2 or points.shape[1] != self.nvars:
             raise ValueError(f"expected shape (n, {self.nvars})")
         f = self.field
         order = f.q - 1
-        exps, support, log_coeffs = self._log_terms()
-        logs = f._log_arr[points].astype(exps.dtype)
+        exps, log_coeffs = self._log_terms()
+        logs = f._log[points].astype(exps.dtype)
         zero = points == 0
-        zero = zero.astype(np.float32) if zero.any() else None
+        zero = zero.astype(exps.dtype) if zero.any() else None
         step = max(1, _WORK_ELEMS // max(1, len(points)))
         sums = []
         for lo in range(0, len(log_coeffs), step):
             hi = lo + step
             # one points x terms int64 array at a time: term logs, then values
-            zeroed = None if zero is None else zero @ support[:, lo:hi] > 0
+            zeroed = None if zero is None else zero @ exps[:, lo:hi] > 0
             vals = (logs @ exps[:, lo:hi]).astype(np.int64)
             vals += log_coeffs[lo:hi]
             vals -= vals // order * order  # faster than % on int64

@@ -253,14 +253,14 @@ def _scan_shells(
     points whose changed positions are a subset P form a product grid, on
     which a term's log is an outer sum of per-coordinate steps:
     log t(x) = log t(c) + sum_(i in P) e_ti (log x_i - log c_i) mod (q-1).
-    Zeros are counted apart: a term vanishes where its count of zero
-    support coordinates is positive.  Returns (witness, its ball rank + 1)
-    or (None, ball volume).
+    Zeros are summed apart: a term vanishes where its exponents over the
+    point's zero coordinates sum above 0.  Returns (witness, its ball rank
+    + 1) or (None, ball volume).
     """
     f = poly.field
     order = f.q - 1
-    log = f._log_arr  # log[0] = 0 stands in for the undefined log of zero
-    exps, _, log_coeffs = poly._log_terms()
+    log = f._log  # log[0] = 0 stands in for the undefined log of zero
+    exps, log_coeffs = poly._log_terms()
     e = exps.astype(np.int64)
     movable = [i for i, a in enumerate(alts) if a]
     m = len(movable)
@@ -275,14 +275,9 @@ def _scan_shells(
     dlog = (log[alt] - log[cm][:, None]) % order
     zeros = None
     if (c == 0).any() or (alt == 0).any():
-        # per term, zero support coordinates at the anchor; per position,
-        # the change in that count at each alternative
-        support = e > 0
-        zeros = (
-            (c == 0) @ support.astype(np.int64),
-            np.ascontiguousarray(support[movable].T),
-            (alt == 0).astype(np.int64) - (cm == 0)[:, None],
-        )
+        # per term, its exponent sum over the anchor's zero coordinates;
+        # per position, the change in being zero at each alternative
+        zeros = ((c == 0) @ e, (alt == 0).astype(np.int64) - (cm == 0)[:, None])
     exp = f._exp_addends
     block = _WORK_ELEMS // max(1, len(log_coeffs))
     done = 0
@@ -293,7 +288,7 @@ def _scan_shells(
         # indices are in range, and mode="clip" keeps take from buffering
         np.take(exp, vals, out=vals, mode="clip")
         if zeros is not None:
-            vals[piece_sums(zeros[1], zeros[2], zeros[0], pos, lead) > 0] = 0
+            vals[piece_sums(em, zeros[1], zeros[0], pos, lead) > 0] = 0
         nz = np.flatnonzero(f.sum_addends(vals.T))
         if nz.size:
             point = list(anchor)

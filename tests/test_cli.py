@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,27 @@ def test_text_polynomial_input(capsys, tmp_path, fermat_files):
     assert code == 0 and report["verdict"] == "vanishes"
     code, _, err = _run(capsys, ["test-zero", "--poly", str(poly), "--domain", dom])
     assert code == 2 and "--field" in err
+
+
+def test_text_polynomial_takes_the_domain_variables(capsys, tmp_path):
+    poly = tmp_path / "p.txt"
+    dom = _write(tmp_path / "d.json", {"field": "GF(7)", "sets": [[1, 2], [1, 2]]})
+    argv = ["reduce", "--poly", str(poly), "--domain", dom, "--field", "GF(7)"]
+    poly.write_text("3*x1")
+    code, report, _ = _run(capsys, argv)
+    assert code == 0 and report["input"]["poly"]["nvars"] == 2
+    # a variable past the domain fails before its exponent tuple of
+    # 5 * 10^6 entries is built
+    poly.write_text("x5000000")
+    make_field(7)  # the field's tables are not the input's cost
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "x5000000" in capsys.readouterr().err
+    assert peak < 1 << 20
 
 
 def test_find_nonzero(capsys, f4_files):
@@ -517,3 +539,35 @@ def test_any_json_input_exits_0_1_or_2(tmp_path, poly, domain, system):
         ["reduce", *files],
     ):
         assert main(argv) in (0, 1, 2)
+
+
+# -- any text or bytes in a polynomial file end in exit 0, 1 or 2 ------------
+
+_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=10)
+_FACTOR = _DIGITS | st.builds("x{}".format, _DIGITS) | st.builds("x{}^{}".format, _DIGITS, _DIGITS)
+_TERM = st.lists(_FACTOR, min_size=1, max_size=3).map("*".join)
+_TEXT = st.lists(_TERM, min_size=1, max_size=4).map(" + ".join) | st.text(
+    alphabet="x0123456789^*+ ", max_size=30
+)
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(blob=_TEXT.map(str.encode) | st.binary(max_size=40))
+def test_any_text_or_bytes_exits_0_1_or_2(tmp_path, blob):
+    # variable indices and exponents of up to 10 digits included: each call
+    # ends in an exit code, and fast
+    path = tmp_path / "p.txt"
+    path.write_bytes(blob)
+    files = ["--poly", str(path), "--domain", _write(tmp_path / "d.json", _VALID["domain"])]
+    files += ["--field", "GF(7)"]
+    for argv in (
+        ["test-zero", *files],
+        ["find-nonzero", *files, "--anchor", "1,2"],
+        ["reduce", *files],
+        ["solve-system", "--system", str(path), "--field", "GF(7)"],
+    ):
+        start = time.perf_counter()
+        assert main(argv) in (0, 1, 2)
+        assert time.perf_counter() - start < 2.0

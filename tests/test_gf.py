@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -272,7 +273,7 @@ def test_vec_sum_matches_scalar_sums(p, k):
         want = [reduce(f.add_index, row, 0) for row in a.tolist()]
         assert f.vec_sum(a).tolist() == want
         # the same sums from the exp table in addend form, zero addends for 0
-        addends = np.where(a == 0, 0, f._exp_addends[f._log_arr[a] % (f.q - 1)])
+        addends = np.where(a == 0, 0, f._exp_addends[f._log[a] % (f.q - 1)])
         assert f.sum_addends(addends).tolist() == want
 
 
@@ -280,6 +281,38 @@ def test_pow_index_square_and_multiply(f7):
     for base in range(7):
         for e in range(0, 10):
             assert f7.pow_index(base, e) == pow(base, e, 7)
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (2, 8), (3, 3)])
+def test_scalar_operations_return_python_ints(p, k):
+    # the tables are int64 arrays; an np.int64 that reached a report would
+    # make json.dumps raise
+    f = make_field(p, k)
+    elems = range(1, f.q)
+    for a in (0, 1, f.q - 1, f.generator_index):
+        for b in (0, 1, 2, f.q - 1):
+            assert type(f.add_index(a, b)) is int
+            assert type(f.mul_index(a, b)) is int
+            assert type(f.pow_index(a, b)) is int
+        assert type(f.neg_index(a)) is int
+    assert all(type(f.inv_index(a)) is int for a in elems)
+    assert all(type(mul_order(f.element(a))) is int for a in elems)
+    assert type(max_ratio_order([[f.element(a) for a in elems]])) is int
+    for d in (1, f.q - 1):
+        assert all(type(x.index) is int for x in subgroup_of_order(f, d))
+
+
+def test_tables_are_stored_once():
+    # exp and log are one int64 array each: GF(2^16) retains 1 MiB, and
+    # Python list copies of both would add 5 MiB
+    tracemalloc.start()
+    try:
+        field = FieldSpec(2, 16)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert field.q == 1 << 16
+    assert retained <= 2 << 20
 
 
 def test_is_prime():

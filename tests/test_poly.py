@@ -93,14 +93,20 @@ def test_evaluate_many_matches_pointwise(p, k, work, monkeypatch):
 
 def test_evaluate_many_exact_past_float64():
     # 2^15 variables over GF(3^12), each to the power q-2: the sums of
-    # e_i log x_i pass 2^53, where a float64 product would round
+    # e_i log x_i pass 2^53, where a float64 product would round.  The
+    # rows with zero coordinates zero the big term but keep 5*x1 where
+    # x1 is nonzero.
     f = make_field(3, 12)
     n = 1 << 15
     order = f.q - 1
-    poly = SparsePoly(f, n, {(order - 1,) * n: f.element(7)})
+    poly = SparsePoly(f, n, {(order - 1,) * n: f.element(7), (1,) + (0,) * (n - 1): f.element(5)})
     logs = order - 1 - np.random.default_rng(2).integers(0, 1000, size=(3, n))
-    want = [f._exp[(f._log[7] + (order - 1) * sum(row)) % order] for row in logs.tolist()]
-    assert poly.evaluate_many(f._exp_arr[logs]).tolist() == want
+    rows = np.concatenate([f._exp[logs]] * 2)
+    rows[3, -1] = rows[4, 0] = 0
+    rows[5, :2] = 0
+    big = [f._exp.item((f._log.item(7) + (order - 1) * sum(row)) % order) for row in logs.tolist()]
+    want = [f.add_index(b, f.mul_index(5, x1)) for b, x1 in zip(big + [0] * 3, rows[:, 0].tolist())]
+    assert poly.evaluate_many(rows).tolist() == want
 
 
 def test_evaluate_validates_input(f5, f3):
